@@ -170,6 +170,15 @@ let cx_scache () =
   let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
   List.iter Engine.join ts
 
+(* The section 10 RPC path end to end: clients spin on their reply
+   ports and servers on their request ports through [Port.spin_for_message].
+   The budget is small enough that waits also run out and park, so both
+   halves of spin-then-block are pinned. *)
+let rpc_serve () =
+  ignore
+    (Mach_kernel.Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:48
+       ())
+
 let scenarios : (string * (unit -> unit)) list =
   [
     ("contention", contention);
@@ -182,6 +191,7 @@ let scenarios : (string * (unit -> unit)) list =
     ("contention-scache", queue_contention K.Locks.scache_writer);
     ("scache-readers", scache_readers);
     ("cx-scache", cx_scache);
+    ("rpc-serve", rpc_serve);
   ]
 
 (* The configuration matrix exercises every scheduler policy (and thus
@@ -214,6 +224,10 @@ let matrix : (string * int * int * Config.policy) list =
     ("scache-readers", 4, 5, Config.Random_policy);
     ("cx-scache", 4, 7, Config.Round_robin);
     ("cx-scache", 8, 3, Config.Timed);
+    (* Spin-then-block RPC serving under every policy. *)
+    ("rpc-serve", 16, 3, Config.Timed);
+    ("rpc-serve", 16, 5, Config.Random_policy);
+    ("rpc-serve", 16, 7, Config.Round_robin);
   ]
 
 let line (name, cpus, seed, policy) =
