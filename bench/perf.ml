@@ -279,30 +279,64 @@ let cache_row () =
    of batched dequeue + the sharded port name space.  A change that
    reserializes the hot path (say, name lookups falling back to one
    global table lock, or batching degrading to one message per lock
-   hold) collapses the ratio and trips the gate with zero host noise. *)
+   hold) collapses the ratio and trips the gate with zero host noise.
+
+   The sharded+batched run also yields the engine's host work per
+   simulated RPC: fiber resumes per RPC, against engine steps per RPC.
+   Nearly every step of that run is a reply or request spin-wait
+   iteration, which the scheduler runs in place without resuming the
+   waiter; resumes_per_rpc is deterministic and climbs back to
+   steps_per_rpc if that fast path stops applying. *)
 let rpc_serve ~shards ~batch =
   let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
+  let served = ref 0 in
   let stats =
     Engine.run ~cfg (fun () ->
-        ignore (Mach_kernel.Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
+        served :=
+          fst (Mach_kernel.Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
   in
-  stats.Engine.makespan
+  let resumes =
+    match Engine.last_work () with Some w -> w.Engine.resumes | None -> 0
+  in
+  (stats, resumes, !served)
 
 let rpc_row () =
-  let flat = rpc_serve ~shards:1 ~batch:1 in
-  let sharded = rpc_serve ~shards:8 ~batch:8 in
+  let flat, _, _ = rpc_serve ~shards:1 ~batch:1 in
+  let sharded, resumes, served = rpc_serve ~shards:8 ~batch:8 in
+  let flat = flat.Engine.makespan in
+  let steps = sharded.Engine.steps in
+  let sharded = sharded.Engine.makespan in
   let speedup = float_of_int flat /. float_of_int sharded in
+  let per_rpc n = float_of_int n /. float_of_int served in
   Printf.printf
     "rpc: 64-cpu serving  flat makespan=%d  sharded+batched makespan=%d  \
-     throughput_speedup=%.2fx (deterministic)\n%!"
-    flat sharded speedup;
+     throughput_speedup=%.2fx  steps/rpc=%.1f  resumes/rpc=%.1f \
+     (deterministic)\n%!"
+    flat sharded speedup (per_rpc steps) (per_rpc resumes);
   Obs_json.Obj
     [
       ("scenario", Obs_json.String "rpc-serve-64cpu");
       ("flat_makespan", Obs_json.Int flat);
       ("sharded_batched_makespan", Obs_json.Int sharded);
       ("throughput_speedup", Obs_json.Float speedup);
+      ("steps_per_rpc", Obs_json.Float (per_rpc steps));
+      ("resumes_per_rpc", Obs_json.Float (per_rpc resumes));
     ]
+
+(* The wall times of the full E20 bench and of tier-1 are measured
+   outside this harness (a whole bench run, a whole test suite), before
+   and after a change, and recorded by hand under "host_walls".  Carry
+   that object over so a perf run does not erase it. *)
+let recorded_walls path =
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> []
+  | text -> (
+      match Obs_json.of_string text with
+      | Ok doc -> (
+          match Obs_json.member "host_walls" doc with
+          | Some w -> [ ("host_walls", w) ]
+          | None -> [])
+      | Error _ -> [])
 
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
@@ -329,11 +363,13 @@ let () =
     if engine_only then fields
     else fields @ [ ("sweep", sweep ~seeds ~domains) ]
   in
+  let out = "BENCH_sim_perf.json" in
   let doc =
     Obs_json.Obj
-      (fields @ [ ("mode", Obs_json.String (if fast then "fast" else "full")) ])
+      (fields
+      @ [ ("mode", Obs_json.String (if fast then "fast" else "full")) ]
+      @ recorded_walls out)
   in
-  let out = "BENCH_sim_perf.json" in
   let oc = open_out out in
   output_string oc (Obs_json.to_string doc);
   output_char oc '\n';

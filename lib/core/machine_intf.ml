@@ -82,6 +82,16 @@ module type MACHINE = sig
   (** Called once per iteration of every spin loop.  Native: cpu relax.
       Sim: a preemption point that also charges spin cycles. *)
 
+  val spin_wait : budget:int -> (unit -> bool) -> int
+  (** [spin_wait ~budget probe] spins until [probe ()] is true, for at
+      most [budget] failed probes, each followed by one {!spin_pause}.
+      Returns the budget left when the probe came true (so [budget]
+      minus the result is the pauses taken), or 0 when the budget ran
+      out.  [probe] must be pure: it may read ordinary OCaml memory but
+      must not touch a [Cell], pause or charge cycles.  That lets the
+      simulator run the iterations from its scheduler without resuming
+      the waiting fiber, with the same simulated result. *)
+
   val spin_hint : string -> unit
   (** Diagnostic: record what the current context is spinning on, so that
       deadlock reports can name the lock.  No-op natively. *)

@@ -76,6 +76,18 @@ let in_interrupt () = false
 let cpu_count () = Domain.recommended_domain_count ()
 let current_cpu () = (Domain.self () :> int)
 let spin_pause () = Domain.cpu_relax ()
+
+let spin_wait ~budget probe =
+  let rec go b =
+    if b <= 0 then 0
+    else if probe () then b
+    else begin
+      Domain.cpu_relax ();
+      go (b - 1)
+    end
+  in
+  go budget
+
 let spin_hint _ = ()
 let spin_max_backoff () = 1024
 

@@ -184,14 +184,15 @@ let dequeue_locked t =
    UNLOCKED peek at [q_len]: a racy read costing one pause, confirmed
    under the lock only when it looks non-empty.  A dead port makes the
    peek loop exit through the locked path, so spinning receivers still
-   observe destroy promptly. *)
-let rec spin_for_message t spin =
-  if spin <= 0 then `Block
-  else if t.q_len > 0 || not (Kobj.is_active t.pobj) then `Try (spin - 1)
-  else begin
-    K.Machine.spin_pause ();
-    spin_for_message t (spin - 1)
-  end
+   observe destroy promptly.  The peek is a pure probe, so the simulator
+   can step the wait without resuming the receiver.  Returns the budget
+   for the retry: the probe that came true used one unit. *)
+let spin_for_message t spin =
+  let left =
+    K.Machine.spin_wait ~budget:spin (fun () ->
+        t.q_len > 0 || not (Kobj.is_active t.pobj))
+  in
+  max 0 (left - 1)
 
 let receive ?(spin = 0) t =
   let spans = Obs_span.enabled () in
@@ -214,9 +215,7 @@ let receive ?(spin = 0) t =
       | None ->
           if spin > 0 then begin
             Kobj.unlock t.pobj;
-            match spin_for_message t spin with
-            | `Try rest -> attempt ~waited:false ~spin:rest
-            | `Block -> attempt ~waited:false ~spin:0
+            attempt ~waited:false ~spin:(spin_for_message t spin)
           end
           else begin
             t.recv_waiters <- t.recv_waiters + 1;
@@ -272,9 +271,7 @@ let receive_batch ?(spin = 0) t ~max =
       | [] ->
           if spin > 0 then begin
             Kobj.unlock t.pobj;
-            match spin_for_message t spin with
-            | `Try rest -> attempt ~waited:false ~spin:rest
-            | `Block -> attempt ~waited:false ~spin:0
+            attempt ~waited:false ~spin:(spin_for_message t spin)
           end
           else begin
             t.recv_waiters <- t.recv_waiters + 1;

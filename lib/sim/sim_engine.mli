@@ -117,6 +117,15 @@ val tls_set : thread -> key:int -> int -> unit
 val pause : unit -> unit
 (** Preemption point; charges the configured pause cost. *)
 
+val spin_wait : budget:int -> (unit -> bool) -> int
+(** {!Mach_core.Machine_intf.MACHINE.spin_wait}: each false probe is one
+    spin pause (counted, [pause_cost] charged, a preemption point).  In a
+    fiber the scheduler runs the later iterations itself, calling the
+    probe with no current frame, and resumes the fiber only once the
+    probe is true or the budget is spent; the simulated result is the
+    same as resuming it every iteration.  A probe that performs a cell
+    op, [pause] or [cycles] from the scheduler is a kernel panic. *)
+
 val cycles : int -> unit
 val now_cycles : unit -> int
 val current_cpu : unit -> int
@@ -177,6 +186,14 @@ val last_stats : unit -> stats option
 
 val last_chaos : unit -> chaos_stats option
 (** Injection counts of the most recently completed run (this domain). *)
+
+type work_stats = { resumes : int  (** fiber resumes *) }
+(** Host work of a run, outside {!stats} (which pins only simulated
+    numbers): [steps] minus [resumes] is the steps the scheduler ran as
+    {!spin_wait} iterations in place. *)
+
+val last_work : unit -> work_stats option
+(** Host work of the most recently completed run (this domain). *)
 
 val last_analysis : unit -> deadlock_analysis option
 (** The waits-for analysis of the most recent deadlock report, when the

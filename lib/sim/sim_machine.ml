@@ -19,6 +19,7 @@ let spin_pause () =
   Sim_engine.count_spin_pause ();
   Sim_engine.pause ()
 
+let spin_wait = Sim_engine.spin_wait
 let spin_hint = Sim_engine.spin_hint
 let spin_max_backoff = Sim_engine.spin_max_backoff
 let park = Sim_engine.park

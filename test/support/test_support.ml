@@ -7,6 +7,29 @@ let contains s sub =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   m = 0 || at 0
 
+(* The contents of test/golden/[name], found from the test executable
+   rather than the working directory: the nearest ancestor of the
+   executable's directory holding golden/[name] (the copy dune makes
+   beside the tests) or test/golden/[name] (the source tree, for a binary
+   run straight out of _build from anywhere). *)
+let read_golden name =
+  let rel = Filename.concat "golden" name in
+  let rec find dir =
+    let here = Filename.concat dir rel
+    and src = Filename.concat dir (Filename.concat "test" rel) in
+    if Sys.file_exists here then here
+    else if Sys.file_exists src then src
+    else
+      let up = Filename.dirname dir in
+      if up = dir then failwith ("golden file not found: " ^ rel) else find up
+  in
+  let exe = Sys.executable_name in
+  let exe =
+    if Filename.is_relative exe then Filename.concat (Sys.getcwd ()) exe
+    else exe
+  in
+  In_channel.with_open_bin (find (Filename.dirname exe)) In_channel.input_all
+
 (* Run [f] inside a fresh simulation and return its result. *)
 let in_sim ?cfg f =
   let result = ref None in

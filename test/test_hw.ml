@@ -22,6 +22,22 @@ let test_cell_semantics () =
   check_int "faa" 9 (HM.Cell.fetch_and_add c 2);
   check_int "final" 11 (HM.Cell.get c)
 
+let test_spin_wait_native () =
+  let calls = ref 0 in
+  let third () =
+    incr calls;
+    !calls = 3
+  in
+  check_int "true on the third probe" 8 (HM.spin_wait ~budget:10 third);
+  check_int "exhausted" 0 (HM.spin_wait ~budget:4 (fun () -> false));
+  check_int "no budget" 0 (HM.spin_wait ~budget:0 (fun () -> true));
+  (* Released by another domain. *)
+  let flag = Atomic.make false in
+  let d = Domain.spawn (fun () -> Atomic.set flag true) in
+  let left = HM.spin_wait ~budget:max_int (fun () -> Atomic.get flag) in
+  Domain.join d;
+  check_bool "released" true (left > 0)
+
 let test_parallel_helper () =
   let results = Run.parallel 4 (fun i -> i * i) in
   Alcotest.(check (list int)) "results in order" [ 0; 1; 4; 9 ] results
@@ -137,6 +153,7 @@ let () =
         [
           Alcotest.test_case "cell semantics" `Quick test_cell_semantics;
           Alcotest.test_case "parallel helper" `Quick test_parallel_helper;
+          Alcotest.test_case "spin_wait" `Quick test_spin_wait_native;
           Alcotest.test_case "spl tracking" `Quick test_spl_tracking_native;
         ] );
       ( "locks",

@@ -14,13 +14,6 @@ open Test_support
 
 let same_spl ~disciplined () = Scenarios.same_spl_holder ~disciplined ()
 
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
-
 (* ------------------------------------------------------------------ *)
 (* Exhaustive verification verdicts                                     *)
 (* ------------------------------------------------------------------ *)
@@ -72,7 +65,7 @@ let test_golden_counterexample () =
     | None -> "panic"
   in
   let actual = kind_line ^ "\n" ^ Mc.trace_to_string f.Mc.f_trace in
-  let expected = read_file "golden/mc_counterexample.expected" in
+  let expected = Test_support.read_golden "mc_counterexample.expected" in
   if not (String.equal expected actual) then begin
     Printf.printf "counterexample mismatch.\n--- expected ---\n%s--- actual ---\n%s"
       expected actual;
@@ -85,7 +78,7 @@ let test_golden_counterexample () =
 let test_golden_replays () =
   (* The golden trace alone — as parsed from disk — must reproduce the
      deadlock and re-record byte-identically. *)
-  let text = read_file "golden/mc_counterexample.expected" in
+  let text = Test_support.read_golden "mc_counterexample.expected" in
   let body =
     match String.index_opt text '\n' with
     | Some i -> String.sub text (i + 1) (String.length text - i - 1)

@@ -127,6 +127,143 @@ let test_spin_deadlock_detected () =
   | Engine.Deadlocked (Engine.Spin_deadlock, _) -> ()
   | _ -> Alcotest.fail "expected a spin deadlock (watchdog)"
 
+(* ------------------------------------------------------------------ *)
+(* spin_wait: the scheduler runs the iterations of a suspended wait     *)
+(* itself; everything simulated must match a spin_pause loop.          *)
+(* ------------------------------------------------------------------ *)
+
+let spin_loop ~budget probe =
+  let rec go b =
+    if b <= 0 then 0
+    else if probe () then b
+    else begin
+      Mach_sim.Sim_machine.spin_pause ();
+      go (b - 1)
+    end
+  in
+  go budget
+
+(* A waiter spins on a plain ref that a writer sets after [work] rounds
+   of cell traffic; [failed] counts the probes that came back false. *)
+let waiter_scenario ~wait ~budget ~work result failed () =
+  let flag = ref false in
+  let c = Engine.Cell.make ~name:"work" 0 in
+  let writer =
+    Engine.spawn ~name:"writer" (fun () ->
+        for _ = 1 to work do
+          ignore (Engine.Cell.fetch_and_add c 1);
+          Engine.pause ()
+        done;
+        flag := true)
+  in
+  let waiter =
+    Engine.spawn ~name:"waiter" (fun () ->
+        result :=
+          wait ~budget (fun () ->
+              if not !flag then incr failed;
+              !flag))
+  in
+  Engine.join writer;
+  Engine.join waiter
+
+let test_spin_wait_matches_loop () =
+  let chaos =
+    {
+      Config.no_faults with
+      Config.perturb_pick = 3;
+      spurious_wakeup = 50;
+      delay_interrupt = 2;
+    }
+  in
+  List.iter
+    (fun (policy, faults, budget) ->
+      let go wait =
+        let result = ref (-1) and failed = ref 0 in
+        let c = { (cfg ~cpus:3 ~seed:5 ~policy ()) with Config.faults } in
+        let stats =
+          Engine.run ~cfg:c
+            (waiter_scenario ~wait ~budget ~work:30 result failed)
+        in
+        (Format.asprintf "%a" Engine.pp_stats stats, !result, !failed)
+      in
+      let label =
+        Printf.sprintf "%s budget=%d%s" (Config.policy_name policy) budget
+          (if Config.faults_active faults then " chaos" else "")
+      in
+      let s1, r1, f1 = go Engine.spin_wait and s2, r2, f2 = go spin_loop in
+      Alcotest.(check string) (label ^ ": stats") s2 s1;
+      check_int (label ^ ": result") r2 r1;
+      check_int (label ^ ": failed probes") f2 f1)
+    [
+      (Config.Timed, Config.no_faults, 10_000);
+      (Config.Random_policy, Config.no_faults, 10_000);
+      (Config.Round_robin, Config.no_faults, 10_000);
+      (Config.Timed, Config.no_faults, 12);
+      (Config.Timed, chaos, 10_000);
+      (Config.Random_policy, chaos, 12);
+    ]
+
+let test_spin_wait_released () =
+  let budget = 10_000 in
+  let result = ref (-1) and failed = ref 0 in
+  let stats =
+    Engine.run ~cfg:(cfg ~cpus:2 ~policy:Config.Timed ())
+      (waiter_scenario ~wait:Engine.spin_wait ~budget ~work:25 result failed)
+  in
+  let k = !failed in
+  check_bool "the scheduler ran iterations" true (k >= 2);
+  check_int "budget left" (budget - k) !result;
+  check_int "spin pauses" k stats.Engine.spin_pauses;
+  (* Every step dispatches, delivers or resumes, except the k - 1
+     iterations after the first, which the scheduler ran in place. *)
+  let resumes =
+    match Engine.last_work () with
+    | Some w -> w.Engine.resumes
+    | None -> Alcotest.fail "no work stats"
+  in
+  check_int "steps without a resume" (k - 1)
+    (stats.Engine.steps - resumes - stats.Engine.context_switches
+   - stats.Engine.interrupts_delivered)
+
+let test_spin_wait_exhausted () =
+  let result = ref (-1) in
+  let stats =
+    run (fun () -> result := Engine.spin_wait ~budget:5 (fun () -> false))
+  in
+  check_int "returns 0" 0 !result;
+  check_int "one pause per failed probe" 5 stats.Engine.spin_pauses;
+  check_int "no budget, no probe" 0
+    (Engine.spin_wait ~budget:0 (fun () -> Alcotest.fail "probed"));
+  (* An endless wait still trips the watchdog. *)
+  match
+    Engine.run_outcome
+      ~cfg:{ (cfg ()) with Config.watchdog_steps = 5_000 }
+      (fun () -> ignore (Engine.spin_wait ~budget:max_int (fun () -> false)))
+  with
+  | Engine.Deadlocked (Engine.Spin_deadlock, _) -> ()
+  | _ -> Alcotest.fail "expected a spin deadlock (watchdog)"
+
+let test_spin_wait_impure_probe () =
+  let impure name touch =
+    match
+      Engine.run_outcome ~cfg:(cfg ()) (fun () ->
+          let c = Engine.Cell.make ~name:"c" 0 in
+          ignore
+            (Engine.spin_wait ~budget:100 (fun () ->
+                 touch c;
+                 false)))
+    with
+    | Engine.Panicked msg ->
+        check_bool (name ^ ": names spin_wait") true (contains msg "spin_wait");
+        check_bool (name ^ ": names the op") true (contains msg name)
+    | _ -> Alcotest.failf "%s in a probe: expected a kernel panic" name
+  in
+  impure "Cell.get" (fun c -> ignore (Engine.Cell.get c));
+  impure "Cell.set" (fun c -> Engine.Cell.set c 1);
+  impure "atomic" (fun c -> ignore (Engine.Cell.fetch_and_add c 1));
+  impure "cycles" (fun _ -> Engine.cycles 3);
+  impure "pause" (fun _ -> Engine.pause ())
+
 let test_determinism () =
   let trace_of seed =
     let log = ref [] in
@@ -373,6 +510,17 @@ let () =
             test_sleep_deadlock_detected;
           Alcotest.test_case "spin deadlock detected" `Quick
             test_spin_deadlock_detected;
+        ] );
+      ( "spin_wait",
+        [
+          Alcotest.test_case "matches a spin_pause loop" `Quick
+            test_spin_wait_matches_loop;
+          Alcotest.test_case "released after k iterations" `Quick
+            test_spin_wait_released;
+          Alcotest.test_case "budget exhaustion" `Quick
+            test_spin_wait_exhausted;
+          Alcotest.test_case "impure probe panics" `Quick
+            test_spin_wait_impure_probe;
         ] );
       ( "cells",
         [
