@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
+.PHONY: all check probe-guard build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
 
 all: build
 
@@ -10,10 +10,25 @@ build:
 test:
 	dune runtest
 
-# The tier-1 gate: build everything, run every test suite.
-check:
+# The tier-1 gate: the one-path guard, then build everything and run
+# every test suite.
+check: probe-guard
 	dune build
 	dune runtest
+
+# One lock-event path: outside lib/core/lock_probe.ml, no library code
+# may feed the profiler, record a blocked-by wait, report a waits-for
+# wait/hold edge, or register the lock.* aggregate metrics.
+PROBE_SINKS = Obs_profile\.note_|Obs_span\.blocked|Waits_for\.note_(wait|wait_done|hold|release)\b|"lock\.(acquisitions|contentions|wait_cycles|hold_cycles)"
+
+probe-guard:
+	@bad=$$(grep -rnE '$(PROBE_SINKS)' --include='*.ml' lib \
+		| grep -v '^lib/core/lock_probe\.ml:'); \
+	if [ -n "$$bad" ]; then \
+		echo "lock-event sinks used outside lib/core/lock_probe.ml:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "probe-guard passed"
 
 bench:
 	dune exec bench/main.exe
@@ -72,7 +87,8 @@ trace-smoke:
 
 # Causal-observability smoke: the report subcommand must attribute the
 # contention workload's critical path to the contended lock class and
-# print the blocked-by table, and a chaos-detected hang must carry the
+# print the blocked-by table and the lock-class contention table (the
+# former `machsim profile` output), and a chaos-detected hang must carry the
 # flight-recorder dump (closed-span tails + each thread's still-open
 # spans — the section 7 cycle's evidence).
 report-smoke:
@@ -81,6 +97,7 @@ report-smoke:
 	grep -q "blocked-by edges" /tmp/machsim-report.out
 	grep -q "dominant: contended" /tmp/machsim-report.out
 	grep -q "flight recorder" /tmp/machsim-report.out
+	grep -q "^lock class *acquires" /tmp/machsim-report.out
 	dune exec bin/machsim.exe -- chaos --seeds 5 > /tmp/machsim-chaos-flight.out
 	grep -q "open spans at the hang" /tmp/machsim-chaos-flight.out
 	grep -q "lock:the-lock" /tmp/machsim-chaos-flight.out

@@ -56,13 +56,30 @@ module Obs_json = Mach_obs.Obs_json
 let obs_extra : (string * Obs_json.t) list ref = ref []
 let obs_add_json key j = obs_extra := (key, j) :: !obs_extra
 
-(* The metrics registry and contention profiler are process-global; the
-   driver resets them before each experiment so each section reports that
-   experiment's runs only. *)
+(* The views are process-global; main.ml resets them all before each
+   experiment so each section reports that experiment's runs only. *)
 let obs_reset () =
-  Obs_metrics.reset ();
-  Obs_profile.reset ();
+  Mach_core.Lock_probe.reset_views ();
   obs_extra := []
+
+(* The scope check: one probe feeds the lock metrics and the profile, so
+   a section whose [lock.acquisitions] differs from its classes' sum
+   mixes the runs of two scopes.  [None] when they agree. *)
+let obs_scope_error ~id =
+  let counted =
+    Obs_metrics.counter_value (Obs_metrics.counter "lock.acquisitions")
+  in
+  let profiled =
+    List.fold_left
+      (fun acc (c : Obs_profile.class_stats) -> acc + c.acquisitions)
+      0 (Obs_profile.classes ())
+  in
+  if counted = profiled then None
+  else
+    Some
+      (Printf.sprintf
+         "%s: lock.acquisitions = %d but the profile classes sum to %d" id
+         counted profiled)
 
 let latency_histograms =
   [

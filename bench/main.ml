@@ -1787,9 +1787,10 @@ module E20 = struct
   }
 
   let serve ?(drain = false) ~cpus ~shards ~batch ~calls_each () =
-    (* Metrics are reset per run so the latency percentiles are this
-       run's, not the sweep's aggregate. *)
-    Obs_metrics.reset ();
+    (* The views are reset per run so the latency percentiles are this
+       run's, not the sweep's aggregate, and the profile covers the same
+       run as the metrics. *)
+    Mach_core.Lock_probe.reset_views ();
     let cfg = { (Config.bench ~cpus ()) with Config.seed = 3 } in
     let counts = ref (0, 0) in
     match
@@ -2023,7 +2024,7 @@ let () =
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map fst experiments
   in
-  let obs = ref [] in
+  let obs = ref [] and scope_errors = ref [] in
   List.iter
     (fun id ->
       match List.assoc_opt id experiments with
@@ -2031,12 +2032,20 @@ let () =
           obs_reset ();
           run ();
           obs_section ~id ();
+          Option.iter
+            (fun e -> scope_errors := e :: !scope_errors)
+            (obs_scope_error ~id);
           obs := (id, obs_json ()) :: !obs
       | None ->
           Printf.eprintf "unknown experiment %s (known: %s)\n" id
             (String.concat " " (List.map fst experiments));
           exit 1)
     requested;
+  if !scope_errors <> [] then begin
+    List.iter (Printf.eprintf "observability scope error: %s\n")
+      (List.rev !scope_errors);
+    exit 1
+  end;
   let out = "BENCH_observability.json" in
   let oc = open_out out in
   output_string oc (Obs_json.to_string (Obs_json.Obj (List.rev !obs)));

@@ -5,9 +5,9 @@
      explore   -- run a scenario across many schedule seeds, tally outcomes
      trace     -- run a scenario with event tracing and dump the trace
                   (or export it as Chrome trace-event JSON with --out)
-     profile   -- run a scenario and print the lock contention profile
-     report    -- run a scenario and print the causal report: top
-                  blockers, critical-path attribution, flight recorder *)
+     report    -- run a scenario and print the observability report: top
+                  blockers, critical-path attribution, flight recorder,
+                  lock-class contention table and metrics *)
 
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
@@ -497,68 +497,6 @@ let trace_cmd =
           Chrome trace-event JSON with --out).")
     term
 
-let profile_cmd =
-  let top_arg =
-    Arg.(
-      value & opt int 10
-      & info [ "top"; "t" ] ~docv:"N" ~doc:"Lock classes to show.")
-  in
-  let json_arg =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Emit the profile and metrics registry as JSON instead of text.")
-  in
-  let run scenario cpus seed top json =
-    (* Profile state is global and survives previous runs in this process;
-       start from a clean slate so the report covers this scenario only. *)
-    Obs_profile.reset ();
-    Obs_metrics.reset ();
-    let cfg = { Config.default with Config.cpus; seed } in
-    let outcome = Engine.run_outcome ~cfg (lookup_scenario scenario) in
-    if json then
-      print_endline
-        (Obs_json.to_string
-           (Obs_json.Obj
-              [
-                ("scenario", Obs_json.String scenario);
-                ("profile", Obs_profile.to_json ());
-                ( "spans",
-                  match Obs_span.last () with
-                  | Some v -> Obs_span.to_json v
-                  | None -> Obs_json.Null );
-                ("metrics", Obs_metrics.to_json ());
-              ]))
-    else begin
-      Format.printf "%a@." (fun ppf () -> Obs_profile.pp_report ~top_n:top ppf ()) ();
-      (match Obs_span.last () with
-      | Some v -> Format.printf "%a@." (Obs_span.pp_blockers ~top_n:top) v
-      | None -> ());
-      Format.printf "metrics:@.%a" Obs_metrics.pp ()
-    end;
-    match outcome with
-    | Engine.Completed _ -> 0
-    | Engine.Deadlocked (_, r) ->
-        Format.printf "deadlocked:@.%s@." r;
-        1
-    | Engine.Panicked m ->
-        Format.printf "panicked: %s@." m;
-        1
-    | Engine.Hit_step_limit ->
-        Format.printf "step limit@.";
-        1
-  in
-  let term =
-    Term.(const run $ scenario_arg $ cpus_arg $ seed_arg $ top_arg $ json_arg)
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Run a scenario and print the lock contention profile (top classes \
-          by wait cycles, first-attempt rates, waits-for edges) and the \
-          metrics registry.")
-    term
-
 let report_cmd =
   let top_arg =
     Arg.(
@@ -568,10 +506,12 @@ let report_cmd =
   let json_arg =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Emit the causal report as JSON instead of text.")
+      & info [ "json" ] ~doc:"Emit the report as JSON instead of text.")
   in
   let run scenario cpus seed policy top json =
-    Obs_profile.reset ();
+    (* The views are process-global; start them together from a clean
+       slate so the report covers this scenario only. *)
+    Mach_core.Lock_probe.reset_views ();
     (* Tracing feeds the critical-path pass; track_waits feeds the
        waits-for graph so a deadlocked run still prints a diagnosis
        (with the flight-recorder dump the engine appends to it). *)
@@ -612,6 +552,7 @@ let report_cmd =
                 ("spans", Obs_span.to_json view);
                 ("critical_path", Obs_cp.to_json cp);
                 ("profile", Obs_profile.to_json ());
+                ("metrics", Obs_metrics.to_json ());
               ]))
     else begin
       Format.printf "%a@." (Obs_span.pp_blockers ~top_n:top) view;
@@ -622,7 +563,9 @@ let report_cmd =
             a.Obs_cp.cls
             (100. *. a.Obs_cp.fraction)
       | None -> Format.printf "dominant: none (no attributable waits)@.");
-      Format.printf "%a" Obs_span.pp_flight view
+      Format.printf "%a" Obs_span.pp_flight view;
+      Format.printf "@.%a@." (Obs_profile.pp_report ~top_n:top) ();
+      Format.printf "metrics:@.%a" Obs_metrics.pp ()
     end;
     match outcome with
     | Engine.Completed stats ->
@@ -648,11 +591,13 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:
-         "Run a scenario and print the causal observability report: the \
+         "Run a scenario and print the observability report: the \
           top-blockers table (which sites stall whom, and what the holder \
           was doing), the critical-path attribution over the trace (which \
-          lock class the makespan was spent waiting on), and the \
-          flight-recorder tail of recent spans per cpu.")
+          lock class the makespan was spent waiting on), the \
+          flight-recorder tail of recent spans per cpu, the lock-class \
+          contention table (first-attempt rates, wait percentiles) and \
+          the metrics registry.")
     term
 
 let list_cmd =
@@ -966,7 +911,6 @@ let () =
             run_cmd;
             explore_cmd;
             trace_cmd;
-            profile_cmd;
             report_cmd;
             chaos_cmd;
             mc_cmd;

@@ -136,15 +136,15 @@ let checker_catches_bugs () =
          K.Slock.lock l;
          ignore (K.Ref.release r)))
 
-(* Everything above also fed the process-global contention profiler; end
-   the tour with its report (the `machsim profile` subcommand prints the
-   same table for any scenario). *)
+(* Every lock operation above also reported through the lock-event
+   probe; end the tour with the contention profiler's class table (the
+   `machsim report` subcommand prints the same table for any scenario). *)
 let contention_profile () =
-  section "Contention profile (machsim profile)";
+  section "Contention profile (machsim report)";
   Format.printf "%a@." (Mach_obs.Obs_profile.pp_report ~top_n:8) ()
 
 let () =
-  Mach_obs.Obs_profile.reset ();
+  Mach_core.Lock_probe.reset_views ();
   let cfg = { Config.default with Config.cpus = 4; seed = 7 } in
   ignore
     (Engine.run ~cfg (fun () ->

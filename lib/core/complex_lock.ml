@@ -1,28 +1,17 @@
 module Tls_key = Machine_intf.Tls_key
-module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_profile = Mach_obs.Obs_profile
-module Obs_trace = Mach_obs.Obs_trace
-module Obs_event = Mach_obs.Obs_event
-module Obs_span = Mach_obs.Obs_span
 
 module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M))
     (E : module type of Event.Make (M) (Slock)) =
 struct
-  (* Same named metrics as the simple locks: interning is idempotent, so
-     complex-lock waits land in the same "lock.*" aggregates. *)
-  let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
-  let m_contentions = Obs_metrics.counter "lock.contentions"
-  let h_wait = Obs_metrics.histogram "lock.wait_cycles"
-  let h_hold = Obs_metrics.histogram "lock.hold_cycles"
+  module P = Lock_probe.Make (M)
 
   type t = {
-    cl_id : int;
     interlock : Slock.t; (* protects every mutable field below *)
     event : E.event;
     lname : string;
-    stats : Lock_stats.t;
+    site : P.site;
     mutable want_write : bool;
     mutable want_upgrade : bool;
     mutable read_count : int;
@@ -47,14 +36,13 @@ struct
     (* Sleep-mode waits surface as waits on [event]; alias the event back
        to this lock so the deadlock detector names the lock, not a bare
        event number. *)
-    Waits_for.note_event_resource ~event
-      (Waits_for.Clock { uid = id; name = lname });
+    let res = Waits_for.Clock { uid = id; name = lname } in
+    Waits_for.note_event_resource ~event res;
     {
-      cl_id = id;
       interlock = Slock.make ~name:(lname ^ ".interlock") ?proto ();
       event;
       lname;
-      stats = Lock_stats.make ();
+      site = P.site ~zero_holds:false ~name:lname res;
       want_write = false;
       want_upgrade = false;
       read_count = 0;
@@ -71,41 +59,7 @@ struct
     t.can_sleep <- can_sleep;
     t
 
-  (* [waits] is the number of [lock_wait] rounds the acquisition took;
-     contended iff at least one.  [blocker] is the writer observed when
-     the wait began, for blocked-by attribution (reader crowds have no
-     single holder to blame, so only writer holds attribute). *)
-  let obs_acquire t ?blocker ~waits ~wait_cycles () =
-    let cpu = M.current_cpu () in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if waits > 0 then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~contended:(waits > 0) ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some h when waits > 0 ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~name:t.lname
-            ~holder_tid:(M.thread_id h) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter Obs_span.Lock t.lname
-    end;
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_event.Lock_acquire { lock = t.lname; spins = waits; wait_cycles })
-
-  (* [held_cycles = 0] means "unknown" (read holds are not individually
-     timed); it still balances the profiler's held stack. *)
-  let obs_release t ~held_cycles =
-    if held_cycles > 0 then
-      Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles;
-    Obs_profile.note_release
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~held_cycles;
-    Obs_span.exit Obs_span.Lock t.lname;
-    if Obs_trace.enabled () then
-      Obs_trace.emit (Obs_event.Lock_release { lock = t.lname; held_cycles })
+  let stats t = t.site.stats
 
   let self_is t holder =
     match holder with
@@ -124,19 +78,6 @@ struct
       M.tls_set self ~key:k (M.tls_get self ~key:k + delta)
     end
 
-  let wf_res t = Waits_for.Clock { uid = t.cl_id; name = t.lname }
-
-  let wf_hold t =
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_release t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t)
-
   (* Wait for the lock state to change.  Caller holds the interlock; it is
      released across the wait and reacquired before returning.  Sleep mode
      blocks on the lock's event (the event-to-lock alias recorded in [make]
@@ -145,7 +86,7 @@ struct
   let lock_wait t =
     if t.can_sleep then begin
       t.waiting <- true;
-      Lock_stats.record_sleep t.stats;
+      Lock_stats.record_sleep (stats t);
       E.assert_wait t.event;
       Slock.unlock t.interlock;
       ignore (E.thread_block ());
@@ -153,17 +94,11 @@ struct
     end
     else begin
       Slock.unlock t.interlock;
-      let tracking = Waits_for.tracking () in
-      if tracking then
-        Waits_for.note_wait
-          ~tid:(M.thread_id (M.self ()))
-          ~tname:(M.thread_name (M.self ()))
-          (wf_res t);
+      P.wait_begin t.site;
       M.spin_hint t.lname;
       M.spin_pause ();
       Slock.lock t.interlock;
-      if tracking then
-        Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t)
+      P.wait_end t.site
     end
 
   (* Wake every thread blocked on the lock (Mach's wakeup is broadcast).
@@ -179,7 +114,7 @@ struct
     if self_is t t.writer && is_recursive_holder t then begin
       (* Recursive write acquisition. *)
       t.recursion_depth <- t.recursion_depth + 1;
-      Lock_stats.record_recursive t.stats;
+      Lock_stats.record_recursive (stats t);
       Slock.unlock t.interlock
     end
     else begin
@@ -192,6 +127,8 @@ struct
               t.lname)
        end);
       let t0 = M.now_cycles () in
+      (* Blocked-by attribution goes to the writer seen as the wait
+         began: a reader crowd has no single holder to blame. *)
       let blocker = t.writer in
       let waits = ref 0 in
       (* Claim the writer slot: wait out other writers and upgraders. *)
@@ -208,12 +145,10 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_write t.stats;
-      obs_acquire t ?blocker ~waits:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0)
-        ();
+      Lock_stats.record_write (stats t);
+      P.acquired ?blocker t.site ~spins:!waits
+        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
-      wf_hold t;
       Slock.unlock t.interlock
     end
 
@@ -224,7 +159,7 @@ struct
          or upgrade requests (section 4). *)
       t.read_count <- t.read_count + 1;
       t.recursive_reads <- t.recursive_reads + 1;
-      Lock_stats.record_recursive t.stats;
+      Lock_stats.record_recursive (stats t);
       Slock.unlock t.interlock
     end
     else begin
@@ -240,12 +175,10 @@ struct
         lock_wait t
       done;
       t.read_count <- t.read_count + 1;
-      Lock_stats.record_read t.stats;
-      obs_acquire t ?blocker ~waits:!waits
-        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0)
-        ();
+      Lock_stats.record_read (stats t);
+      P.acquired ?blocker t.site ~spins:!waits
+        ~wait_cycles:(if !waits > 0 then max 0 (M.now_cycles () - t0) else 0);
       bump_spin_held t 1;
-      wf_hold t;
       Slock.unlock t.interlock
     end
 
@@ -262,11 +195,10 @@ struct
     t.read_count <- t.read_count - 1;
     if t.want_upgrade then begin
       (* Another upgrade is pending: fail, releasing the read lock. *)
-      Lock_stats.record_upgrade t.stats ~success:false;
+      Lock_stats.record_upgrade (stats t) ~success:false;
       if t.read_count = 0 then lock_wakeup t;
       bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:0;
+      P.released t.site ~held_cycles:0;
       Slock.unlock t.interlock;
       true
     end
@@ -277,7 +209,7 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_upgrade t.stats ~success:true;
+      Lock_stats.record_upgrade (stats t) ~success:true;
       Slock.unlock t.interlock;
       false
     end
@@ -301,13 +233,9 @@ struct
     if t.want_upgrade then t.want_upgrade <- false
     else t.want_write <- false;
     t.writer <- None;
-    Lock_stats.record_downgrade t.stats;
-    (* The write portion of the hold ends here; the (untimed) read hold
-       keeps the profiler's held-stack entry. *)
-    Obs_metrics.observe
-      ~cpu:(M.current_cpu ())
-      h_hold
-      (max 0 (M.now_cycles () - t.write_acquired_at));
+    Lock_stats.record_downgrade (stats t);
+    P.downgraded t.site
+      ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at));
     lock_wakeup t;
     Slock.unlock t.interlock
 
@@ -321,8 +249,7 @@ struct
         t.recursive_reads <- t.recursive_reads - 1
       else begin
         bump_spin_held t (-1);
-        wf_release t;
-        obs_release t ~held_cycles:0
+        P.released t.site ~held_cycles:0
       end
     end
     else if self_is t t.writer && t.recursion_depth > 0 then
@@ -331,15 +258,15 @@ struct
       t.want_upgrade <- false;
       t.writer <- None;
       bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
+      P.released t.site
+        ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
     end
     else if t.want_write then begin
       t.want_write <- false;
       t.writer <- None;
       bump_spin_held t (-1);
-      wf_release t;
-      obs_release t ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
+      P.released t.site
+        ~held_cycles:(max 0 (M.now_cycles () - t.write_acquired_at))
     end
     else begin
       Slock.unlock t.interlock;
@@ -353,7 +280,7 @@ struct
     let ok =
       if is_recursive_holder t then begin
         t.read_count <- t.read_count + 1;
-        Lock_stats.record_recursive t.stats;
+        Lock_stats.record_recursive (stats t);
         true
       end
       else if
@@ -362,14 +289,13 @@ struct
       then false
       else begin
         t.read_count <- t.read_count + 1;
-        Lock_stats.record_read t.stats;
-        obs_acquire t ~waits:0 ~wait_cycles:0 ();
+        Lock_stats.record_read (stats t);
+        P.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
-        wf_hold t;
         true
       end
     in
-    Lock_stats.record_try t.stats ~success:ok;
+    Lock_stats.record_try (stats t) ~success:ok;
     Slock.unlock t.interlock;
     ok
 
@@ -378,7 +304,7 @@ struct
     let ok =
       if self_is t t.writer && is_recursive_holder t then begin
         t.recursion_depth <- t.recursion_depth + 1;
-        Lock_stats.record_recursive t.stats;
+        Lock_stats.record_recursive (stats t);
         true
       end
       else if t.want_write || t.want_upgrade || t.read_count > 0 then false
@@ -386,14 +312,13 @@ struct
         t.want_write <- true;
         t.writer <- Some (M.self ());
         t.write_acquired_at <- M.now_cycles ();
-        Lock_stats.record_write t.stats;
-        obs_acquire t ~waits:0 ~wait_cycles:0 ();
+        Lock_stats.record_write (stats t);
+        P.acquired t.site ~spins:0 ~wait_cycles:0;
         bump_spin_held t 1;
-        wf_hold t;
         true
       end
     in
-    Lock_stats.record_try t.stats ~success:ok;
+    Lock_stats.record_try (stats t) ~success:ok;
     Slock.unlock t.interlock;
     ok
 
@@ -402,7 +327,7 @@ struct
     if t.want_upgrade then begin
       (* Would deadlock against the pending upgrade: refuse without
          dropping the read lock (Appendix B.3). *)
-      Lock_stats.record_try t.stats ~success:false;
+      Lock_stats.record_try (stats t) ~success:false;
       Slock.unlock t.interlock;
       false
     end
@@ -415,8 +340,8 @@ struct
       done;
       t.writer <- Some (M.self ());
       t.write_acquired_at <- M.now_cycles ();
-      Lock_stats.record_upgrade t.stats ~success:true;
-      Lock_stats.record_try t.stats ~success:true;
+      Lock_stats.record_upgrade (stats t) ~success:true;
+      Lock_stats.record_try (stats t) ~success:true;
       Slock.unlock t.interlock;
       true
     end
@@ -481,7 +406,6 @@ struct
         raise e
 
   let name t = t.lname
-  let stats t = t.stats
 
   let read_count t =
     Slock.with_lock t.interlock (fun () -> t.read_count)

@@ -18,6 +18,8 @@ module Make
     (M : Machine_intf.MACHINE)
     (Slock : module type of Simple_lock.Make (M)) =
 struct
+  module P = Lock_probe.Make (M)
+
   type event = int
 
   let h_wait = Obs_metrics.histogram "event.wait_cycles"
@@ -149,11 +151,7 @@ struct
     w.wait_started <- M.now_cycles ();
     b.waiters <- b.waiters @ [ w ];
     Slock.unlock b.block;
-    if Waits_for.tracking () then
-      Waits_for.note_wait
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (Waits_for.Event { id = ev });
+    if Waits_for.tracking () then P.wait_on (Waits_for.Event { id = ev });
     (* The wait->wake span: closed at the wake in [thread_block] (or at
        [cancel_assert]) with [exit_kind] — the waiter's event slot is
        cleared by then, and a thread has at most one outstanding wait. *)
@@ -215,8 +213,7 @@ struct
      from. *)
   let wf_wait_done w ev =
     if Waits_for.tracking () then
-      Waits_for.note_wait_done ~tid:(M.thread_id w.thread)
-        (Waits_for.Event { id = ev })
+      P.wait_off ~thread:w.thread (Waits_for.Event { id = ev })
 
   (* Dequeue [w] from bucket [b] and mark it woken; caller holds b.block. *)
   let wake_locked b w result =

@@ -1,25 +1,13 @@
 module Tls_key = Machine_intf.Tls_key
-module Obs_metrics = Mach_obs.Obs_metrics
-module Obs_profile = Mach_obs.Obs_profile
-module Obs_trace = Mach_obs.Obs_trace
-module Obs_event = Mach_obs.Obs_event
-module Obs_span = Mach_obs.Obs_span
 
 module Make (M : Machine_intf.MACHINE) = struct
   module S = Spin.Make (M)
-
-  (* Registry-wide aggregates (interned once per machine instantiation);
-     every simple lock of this machine feeds the same named metrics. *)
-  let m_acquisitions = Obs_metrics.counter "lock.acquisitions"
-  let m_contentions = Obs_metrics.counter "lock.contentions"
-  let h_wait = Obs_metrics.histogram "lock.wait_cycles"
-  let h_hold = Obs_metrics.histogram "lock.hold_cycles"
+  module P = Lock_probe.Make (M)
 
   (* A lock spins either on one flat cell via a {!Spin} protocol (the
      tas/ttas family) or on protocol-private state behind a packed
      {!Lock_proto.instance} (the lib/locks queue locks).  Everything
-     above the spin — checking, stats, waits-for, observability — is
-     shared. *)
+     above the spin — checking and the probe site — is shared. *)
   type impl =
     | Flat of { cell : M.Cell.t; protocol : Spin.protocol }
     | Queued of Lock_proto.instance
@@ -28,7 +16,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     id : int;
     impl : impl;
     lname : string;
-    stats : Lock_stats.t;
+    site : P.site;
     mutable holder : M.thread option;
     (* Last thread to acquire, NOT cleared on release: a contended
        acquisition that began while the lock was momentarily free (the
@@ -62,7 +50,9 @@ module Make (M : Machine_intf.MACHINE) = struct
       id;
       impl;
       lname;
-      stats = Lock_stats.make ();
+      site =
+        P.site ~zero_holds:true ~name:lname
+          (Waits_for.Slock { uid = id; name = lname });
       holder = None;
       last_holder = None;
       acquired_spl = spl;
@@ -91,60 +81,19 @@ module Make (M : Machine_intf.MACHINE) = struct
                 %s (same-spl rule, paper section 7)"
                t.lname (Spl.to_string spl) (Spl.to_string expected))
 
-  (* [blocker] is the holder observed when the wait began: contended
-     acquisitions attribute their wait to that holder's acquire site
-     (the span enclosing its hold) in the Obs_span blocked-by graph. *)
-  let obs_acquire t ?blocker ~spins ~wait_cycles () =
-    let cpu = M.current_cpu () in
-    Obs_metrics.incr ~cpu m_acquisitions;
-    if spins > 0 then Obs_metrics.incr ~cpu m_contentions;
-    Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~contended:(spins > 0) ~wait_cycles;
-    if Obs_span.enabled () then begin
-      (match blocker with
-      | Some h when spins > 0 ->
-          Obs_span.blocked ~kind:Obs_span.Lock ~name:t.lname
-            ~holder_tid:(M.thread_id h) ~wait_cycles
-      | _ -> ());
-      Obs_span.enter Obs_span.Lock t.lname
-    end;
-    if Obs_trace.enabled () then
-      Obs_trace.emit
-        (Obs_event.Lock_acquire { lock = t.lname; spins; wait_cycles })
-
-  let obs_release t ~held_cycles =
-    Obs_metrics.observe ~cpu:(M.current_cpu ()) h_hold held_cycles;
-    Obs_profile.note_release
-      ~tid:(M.thread_id (M.self ()))
-      ~name:t.lname ~held_cycles;
-    Obs_span.exit Obs_span.Lock t.lname;
-    if Obs_trace.enabled () then
-      Obs_trace.emit (Obs_event.Lock_release { lock = t.lname; held_cycles })
-
-  (* Waits-for edges are reported outside the [checking] gate: scenarios
-     that disable checking (the section-7 buggy variants) are exactly the
-     ones the deadlock detector must be able to explain. *)
-  let wf_res t = Waits_for.Slock { uid = t.id; name = t.lname }
-
+  (* The holder is tracked whether or not checking is on: blocked-by
+     attribution reads it, and the views must agree in the section-7
+     buggy variants that stand checking down. *)
   let note_acquired t =
     t.acquired_at <- M.now_cycles ();
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t);
+    t.holder <- Some (M.self ());
+    t.last_holder <- t.holder;
     if checking () then begin
       check_spl t;
-      t.holder <- Some (M.self ());
-      t.last_holder <- t.holder;
       bump_held 1
     end
 
   let note_released t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t);
     if checking () then begin
       (match t.holder with
       | Some h when M.equal_thread h (M.self ()) -> ()
@@ -156,11 +105,9 @@ module Make (M : Machine_intf.MACHINE) = struct
                (M.thread_name h))
       | None ->
           M.fatal (Printf.sprintf "simple lock %s: unlock while free" t.lname));
-      t.holder <- None;
-      Lock_stats.record_release t.stats
-        ~held_cycles:(M.now_cycles () - t.acquired_at);
       bump_held (-1)
-    end
+    end;
+    t.holder <- None
 
   let lock t =
     if not (Atomic.get uniprocessor) then begin
@@ -176,12 +123,7 @@ module Make (M : Machine_intf.MACHINE) = struct
          | _ -> ());
       let t0 = M.now_cycles () in
       let blocker = t.holder in
-      let tracking = Waits_for.tracking () in
-      if tracking then
-        Waits_for.note_wait
-          ~tid:(M.thread_id (M.self ()))
-          ~tname:(M.thread_name (M.self ()))
-          (wf_res t);
+      P.wait_begin t.site;
       let spins =
         match t.impl with
         | Flat { cell; protocol } -> S.acquire ~hint:t.lname protocol cell
@@ -189,10 +131,8 @@ module Make (M : Machine_intf.MACHINE) = struct
             M.spin_hint t.lname;
             Lock_proto.acquire q
       in
-      if tracking then
-        Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t);
+      P.wait_end t.site;
       let wait_cycles = if spins > 0 then max 0 (M.now_cycles () - t0) else 0 in
-      Lock_stats.record_acquire t.stats ~contended:(spins > 0) ~spins;
       (* A contended wait whose entry snapshot missed the holder (it
          released before our first test) still spun behind SOMEBODY:
          [last_holder] is whoever held the lock during the final wait
@@ -206,18 +146,19 @@ module Make (M : Machine_intf.MACHINE) = struct
             | _ -> None)
         | None -> None
       in
-      obs_acquire t ?blocker ~spins ~wait_cycles ();
+      P.acquired ?blocker t.site ~spins ~wait_cycles;
       note_acquired t
     end
+
+  let release_impl = function
+    | Flat { cell; _ } -> S.release cell
+    | Queued q -> Lock_proto.release q
 
   let unlock t =
     if not (Atomic.get uniprocessor) then begin
       let held_cycles = max 0 (M.now_cycles () - t.acquired_at) in
       note_released t;
-      (match t.impl with
-      | Flat { cell; _ } -> S.release cell
-      | Queued q -> Lock_proto.release q);
-      obs_release t ~held_cycles
+      P.released_by t.site ~held_cycles release_impl t.impl
     end
 
   let try_lock t =
@@ -228,10 +169,9 @@ module Make (M : Machine_intf.MACHINE) = struct
         | Flat { cell; _ } -> S.try_acquire cell
         | Queued q -> Lock_proto.try_acquire q
       in
-      Lock_stats.record_try t.stats ~success:ok;
+      Lock_stats.record_try t.site.stats ~success:ok;
       if ok then begin
-        Lock_stats.record_acquire t.stats ~contended:false ~spins:0;
-        obs_acquire t ~spins:0 ~wait_cycles:0 ();
+        P.acquired t.site ~spins:0 ~wait_cycles:0;
         note_acquired t
       end;
       ok
@@ -259,6 +199,6 @@ module Make (M : Machine_intf.MACHINE) = struct
     | None -> false
 
   let name t = t.lname
-  let stats t = t.stats
+  let stats t = t.site.stats
   let uid t = t.id
 end

@@ -40,6 +40,8 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
 
   type t = {
     bname : string;
+    read_span : string; (* Obs_span labels, built once *)
+    write_span : string;
     readers : M.Cell.t array;
     writer : M.Cell.t;
     (* FIFO writer-pending gate (fairness bookkeeping; see header). *)
@@ -59,6 +61,8 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let make ~name =
     {
       bname = name;
+      read_span = Obs_span.label Obs_span.Lock (name ^ ".read");
+      write_span = Obs_span.label Obs_span.Lock (name ^ ".write");
       readers =
         Array.init n_slots (fun i ->
             M.Cell.make ~name:(Printf.sprintf "%s.r%d" name i) 0);
@@ -101,12 +105,11 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     (* The brlock sits outside Simple_lock's instrumentation, so it opens
        and closes its own hold spans (read and write sides as distinct
        sites: their costs differ by design). *)
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.bname ^ ".read");
+    Obs_span.enter_label Obs_span.Lock t.read_span;
     slot
 
   let read_unlock t ~slot =
-    Obs_span.exit Obs_span.Lock (t.bname ^ ".read");
+    Obs_span.exit_label t.read_span;
     ignore (M.Cell.fetch_and_add t.readers.(slot) (-1))
 
   let write_lock t =
@@ -160,12 +163,11 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     done;
     spins := !spins + !sweep;
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.bname ^ ".write");
+    Obs_span.enter_label Obs_span.Lock t.write_span;
     !spins
 
   let write_unlock t =
-    Obs_span.exit Obs_span.Lock (t.bname ^ ".write");
+    Obs_span.exit_label t.write_span;
     M.Cell.set t.writer 0
 
   let with_read t f =

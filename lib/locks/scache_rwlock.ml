@@ -40,6 +40,8 @@ module Obs_span = Mach_obs.Obs_span
 module Waits_for = Mach_core.Waits_for
 
 module Make (M : Mach_core.Machine_intf.MACHINE) = struct
+  module P = Mach_core.Lock_probe.Make (M)
+
   (* Cycles a writer spends sweeping reader slots, across all scache
      locks of this machine. *)
   let h_sweep = Obs_metrics.histogram "lock.scache.sweep_spins"
@@ -53,7 +55,9 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
 
   type t = {
     sname : string;
-    id : int;
+    res : Waits_for.resource; (* raw-path waits-for node *)
+    read_span : string; (* Obs_span labels, built once *)
+    write_span : string;
     refcounts : M.Cell.t array; (* per-cpu reader refcount slots *)
     exc : M.Cell.t; (* Free / ExcLockPending / ExcLockObtained *)
     wticket : M.Cell.t; (* next writer ticket to hand out *)
@@ -68,10 +72,21 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
   let n_slots = 64
   let next_id = Atomic.make 0
 
+  (* Raw-path waits-for edges.  When the writer side is instantiated
+     under Simple_lock (the {!Writer} LOCK_PROTO below), Simple_lock
+     reports its own Slock edges, so the protocol stays silent there;
+     the raw read/write API used directly (vm_cache, scenarios) reports
+     here instead.  The uid offset keeps these nodes disjoint from
+     Simple_lock's uid counter. *)
+  let wf_uid_base = 1_000_000
+
   let make ~name =
+    let id = Atomic.fetch_and_add next_id 1 in
     {
       sname = name;
-      id = Atomic.fetch_and_add next_id 1;
+      res = Waits_for.Slock { uid = wf_uid_base + id; name };
+      read_span = Obs_span.label Obs_span.Lock (name ^ ".read");
+      write_span = Obs_span.label Obs_span.Lock (name ^ ".write");
       refcounts =
         Array.init n_slots (fun i ->
             M.Cell.make ~name:(Printf.sprintf "%s.rc%d" name i) 0);
@@ -80,37 +95,6 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
       wgrant = M.Cell.make ~name:(name ^ ".wgrant") 0;
       holder_ticket = 0;
     }
-
-  (* Raw-path waits-for edges.  When the writer side is instantiated
-     under Simple_lock (the {!Writer} LOCK_PROTO below), Simple_lock
-     reports its own Slock edges, so the protocol stays silent there;
-     the raw read/write API used directly (vm_cache, scenarios) reports
-     here instead.  The uid offset keeps these nodes disjoint from
-     Simple_lock's uid counter. *)
-  let wf_uid_base = 1_000_000
-  let wf_res t = Waits_for.Slock { uid = wf_uid_base + t.id; name = t.sname }
-
-  let wf_wait t =
-    if Waits_for.tracking () then
-      Waits_for.note_wait
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_wait_done t =
-    if Waits_for.tracking () then
-      Waits_for.note_wait_done ~tid:(M.thread_id (M.self ())) (wf_res t)
-
-  let wf_hold t =
-    if Waits_for.tracking () then
-      Waits_for.note_hold
-        ~tid:(M.thread_id (M.self ()))
-        ~tname:(M.thread_name (M.self ()))
-        (wf_res t)
-
-  let wf_release t =
-    if Waits_for.tracking () then
-      Waits_for.note_release ~tid:(M.thread_id (M.self ())) (wf_res t)
 
   (* Reader acquisition: ReadPending -> ReadCounted -> Obtained, with
      the ReadCounted -> back-out transition when a writer has announced.
@@ -133,7 +117,7 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
             (* Back out and let the writer's sweep drain; wait for the
                exclusive side to clear before re-entering ReadPending. *)
             ignore (M.Cell.fetch_and_add mine (-1));
-            if wf then wf_wait t;
+            if wf then P.wait_on t.res;
             let rec wait () =
               if M.Cell.get t.exc <> free then begin
                 M.spin_pause ();
@@ -141,31 +125,30 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
               end
             in
             wait ();
-            if wf then wf_wait_done t;
+            if wf then P.wait_off t.res;
             step Read_pending
           end
       | Obtained slot -> slot
     in
     let slot = step Read_pending in
-    if wf then wf_hold t;
+    if wf then P.hold t.res;
     (* Like brlock, the raw lock sits outside Simple_lock's
        instrumentation and opens its own hold spans; read and write
        sides are distinct sites because their costs differ by design. *)
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.sname ^ ".read");
+    Obs_span.enter_label Obs_span.Lock t.read_span;
     slot
 
   let read_lock t = read_lock_raw t ~wf:true
 
   let read_unlock t ~slot =
-    Obs_span.exit Obs_span.Lock (t.sname ^ ".read");
-    wf_release t;
+    Obs_span.exit_label t.read_span;
+    P.unhold t.res;
     ignore (M.Cell.fetch_and_add t.refcounts.(slot) (-1))
 
   let write_lock_raw t ~wf =
     (* FIFO admission: take a ticket, spin until granted. *)
     let my = M.Cell.fetch_and_add t.wticket 1 in
-    if wf then wf_wait t;
+    if wf then P.wait_on t.res;
     let rec gate spins =
       if M.Cell.get t.wgrant = my then spins
       else begin
@@ -199,18 +182,17 @@ module Make (M : Mach_core.Machine_intf.MACHINE) = struct
     spins := !spins + !sweep;
     Obs_metrics.observe ~cpu:(M.current_cpu ()) h_sweep !sweep;
     if wf then begin
-      wf_wait_done t;
-      wf_hold t
+      P.wait_off t.res;
+      P.hold t.res
     end;
-    if Obs_span.enabled () then
-      Obs_span.enter Obs_span.Lock (t.sname ^ ".write");
+    Obs_span.enter_label Obs_span.Lock t.write_span;
     !spins
 
   let write_lock t = write_lock_raw t ~wf:true
 
   let write_unlock_raw t ~wf =
-    Obs_span.exit Obs_span.Lock (t.sname ^ ".write");
-    if wf then wf_release t;
+    Obs_span.exit_label t.write_span;
+    if wf then P.unhold t.res;
     let next = t.holder_ticket + 1 in
     M.Cell.set t.exc free;
     (* Release is an explicit handoff: grant the next ticket.  When a

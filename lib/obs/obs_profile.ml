@@ -1,19 +1,17 @@
 (* The contention profiler: per-lock-class aggregation of acquisition
-   outcomes, wait/hold time, and a waits-for edge list.
+   outcomes and wait/hold time.
 
    Individual locks are too numerous to report on (every vm object carries
    several), so locks aggregate into *classes* derived from their names by
    deleting digits: "slock12" and "slock40" are both class "slock",
    "lock3.interlock" is "lock.interlock", "evt-bucket17" is "evt-bucket".
    The class plays the role the declaration site plays in the paper's
-   Appendix A macros.
+   Appendix A macros.  A lock computes its class once, when it is made
+   ({!Mach_core.Lock_probe}), so recording never rebuilds it.
 
-   The waits-for list records, for each contended acquisition, an edge
-   from the most recently acquired still-held lock class to the wanted
-   class.  A cycle in that list is the shape of the section 4 deadlock
-   ("a thread holding A spins for B while another holding B spins for A"),
-   and the three-processor interrupt deadlock of section 7 shows up as the
-   barrier cell being wanted while a lock class is held. *)
+   Who waited for whom is not kept here: the live per-instance graph is
+   [Waits_for] and the cumulative weighted one is the [Obs_span]
+   blocked-by graph. *)
 
 type class_stats = {
   cls : string;
@@ -26,8 +24,6 @@ type class_stats = {
 
 let mu = Mutex.create ()
 let classes_tbl : (string, class_stats) Hashtbl.t = Hashtbl.create 64
-let edges_tbl : (string * string, int ref) Hashtbl.t = Hashtbl.create 64
-let held_stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 64
 
 let class_of_name name =
   let buf = Buffer.create (String.length name) in
@@ -61,46 +57,22 @@ let class_stats_locked cls =
       Hashtbl.add classes_tbl cls cs;
       cs
 
-let stack_locked tid =
-  match Hashtbl.find_opt held_stacks tid with
-  | Some s -> s
-  | None ->
-      let s = ref [] in
-      Hashtbl.add held_stacks tid s;
-      s
+(* The hot path takes the mutex by hand: [locked] would allocate a
+   closure per call. *)
+let note_acquire ~cls ~contended ~wait_cycles =
+  Mutex.lock mu;
+  let cs = class_stats_locked cls in
+  cs.acquisitions <- cs.acquisitions + 1;
+  if contended then cs.contended <- cs.contended + 1;
+  if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
+  Obs_histogram.record cs.wait_hist wait_cycles;
+  Mutex.unlock mu
 
-let note_acquire ~tid ~name ~contended ~wait_cycles =
-  let cls = class_of_name name in
-  locked (fun () ->
-      let cs = class_stats_locked cls in
-      cs.acquisitions <- cs.acquisitions + 1;
-      if contended then cs.contended <- cs.contended + 1;
-      if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
-      Obs_histogram.record cs.wait_hist wait_cycles;
-      let stack = stack_locked tid in
-      (if contended then
-         match !stack with
-         | holder :: _ when holder <> cls ->
-             let key = (holder, cls) in
-             (match Hashtbl.find_opt edges_tbl key with
-             | Some r -> Stdlib.incr r
-             | None -> Hashtbl.add edges_tbl key (ref 1))
-         | _ -> ());
-      stack := cls :: !stack)
-
-let note_release ~tid ~name ~held_cycles =
-  let cls = class_of_name name in
-  locked (fun () ->
-      let cs = class_stats_locked cls in
-      if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles;
-      let stack = stack_locked tid in
-      (* remove the first (innermost) occurrence; releases need not nest *)
-      let rec remove = function
-        | [] -> []
-        | c :: rest when c = cls -> rest
-        | c :: rest -> c :: remove rest
-      in
-      stack := remove !stack)
+let note_release ~cls ~held_cycles =
+  Mutex.lock mu;
+  let cs = class_stats_locked cls in
+  if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles;
+  Mutex.unlock mu
 
 let first_attempt_rate cs =
   if cs.acquisitions = 0 then 1.0
@@ -123,16 +95,9 @@ let top ~n =
   in
   List.filteri (fun i _ -> i < n) by_wait
 
-let edges () =
-  locked (fun () ->
-      Hashtbl.fold (fun (a, b) n acc -> (a, b, !n) :: acc) edges_tbl [])
-  |> List.sort (fun (_, _, x) (_, _, y) -> compare y x)
-
 let reset () =
   locked (fun () ->
-      Hashtbl.reset classes_tbl;
-      Hashtbl.reset edges_tbl;
-      Hashtbl.reset held_stacks)
+      Hashtbl.reset classes_tbl)
 
 let pp_report ?(top_n = 10) ppf () =
   let tops = top ~n:top_n in
@@ -148,14 +113,7 @@ let pp_report ?(top_n = 10) ppf () =
           cs.hold_cycles
           (Obs_histogram.percentile cs.wait_hist 50.0)
           (Obs_histogram.percentile cs.wait_hist 99.0))
-      tops;
-    match edges () with
-    | [] -> ()
-    | es ->
-        Format.fprintf ppf "@.waits-for edges (holder -> wanted, count):@.";
-        List.iter
-          (fun (a, b, n) -> Format.fprintf ppf "  %s -> %s  (%d)@." a b n)
-          es
+      tops
   end
 
 let to_json () =
@@ -177,13 +135,4 @@ let to_json () =
                    ("wait", Obs_histogram.to_json cs.wait_hist);
                  ])
              (classes ())) );
-      ( "waits_for",
-        List
-          (List.map
-             (fun (a, b, n) ->
-               Obj
-                 [
-                   ("holder", String a); ("wanted", String b); ("count", Int n);
-                 ])
-             (edges ())) );
     ]

@@ -1,15 +1,13 @@
 (** The contention profiler.
 
     Aggregates lock acquisitions by {e lock class} (the lock's name with
-    digits deleted, so "slock12" and "slock40" profile together) and
-    maintains a waits-for edge list: each contended acquisition records an
-    edge from the most recently acquired still-held lock class of the
-    acquiring thread to the wanted class.  A cycle among those edges is
-    the shape of the paper's deadlocks (section 4, section 7).
+    digits deleted, so "slock12" and "slock40" profile together).  Who
+    waited for whom lives elsewhere: the live per-instance graph in
+    {!Mach_core.Waits_for}, the cumulative weighted one in {!Obs_span}.
 
-    Fed by the simple/complex lock implementations in [lib/core]; read by
-    [machsim profile], the bench harness, and [examples/locking_tour].
-    All entry points are mutex-protected and safe from native domains. *)
+    Fed only by {!Mach_core.Lock_probe}; read by [machsim report], the
+    bench harness, and [examples/locking_tour].  All entry points are
+    mutex-protected and safe from native domains. *)
 
 type class_stats = {
   cls : string;
@@ -23,17 +21,13 @@ type class_stats = {
 val class_of_name : string -> string
 (** Lock name -> class: digits deleted; "lock" when nothing remains. *)
 
-(** {1 Recording} (called from the lock layer) *)
+(** {1 Recording} (called from the lock-event probe) *)
 
-val note_acquire :
-  tid:int -> name:string -> contended:bool -> wait_cycles:int -> unit
-(** Record an acquisition by thread [tid]; pushes the class onto the
-    thread's held stack and, when contended, records a waits-for edge
-    from the innermost held class. *)
+val note_acquire : cls:string -> contended:bool -> wait_cycles:int -> unit
+(** Record one acquisition of a lock of class [cls] (a {!class_of_name}
+    result, computed once per lock). *)
 
-val note_release : tid:int -> name:string -> held_cycles:int -> unit
-(** Record a release; pops the innermost occurrence of the class from the
-    thread's held stack. *)
+val note_release : cls:string -> held_cycles:int -> unit
 
 (** {1 Reading} *)
 
@@ -47,14 +41,10 @@ val classes : unit -> class_stats list
 val top : n:int -> class_stats list
 (** Top [n] classes by accumulated wait cycles. *)
 
-val edges : unit -> (string * string * int) list
-(** Waits-for edges (holder class, wanted class, count), most frequent
-    first. *)
-
 val reset : unit -> unit
 
 val pp_report : ?top_n:int -> Format.formatter -> unit -> unit
-(** The contention table (top classes with first-attempt rate and wait
-    percentiles) followed by the waits-for edge list. *)
+(** The contention table: top classes with first-attempt rate and wait
+    percentiles. *)
 
 val to_json : unit -> Obs_json.t

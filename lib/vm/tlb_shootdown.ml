@@ -1,6 +1,7 @@
 module Engine = Mach_sim.Sim_engine
 module Spl = Mach_core.Spl
 module Waits_for = Mach_core.Waits_for
+module Probe = Mach_core.Lock_probe.Make (Mach_sim.Sim_machine)
 module Obs_metrics = Mach_obs.Obs_metrics
 module Obs_trace = Mach_obs.Obs_trace
 module Obs_event = Mach_obs.Obs_event
@@ -28,6 +29,11 @@ let note_pmap_critical_exit ~cpu =
   critical.(cpu) <- critical.(cpu) - 1
 
 let in_pmap_critical ~cpu = (Domain.DLS.get critical_key).(cpu) > 0
+
+(* The initiator's barrier wait is a waits-for edge: if a participant
+   cpu never checks in (the section-7 interrupt deadlock), the detector
+   closes the cycle through this node instead of showing a silent spin. *)
+let rendezvous = Waits_for.Rendezvous { name = "tlb-shootdown" }
 
 let performed = Atomic.make 0
 let shootdowns_performed () = Atomic.get performed
@@ -79,23 +85,11 @@ let shootdown ~pmap_id ~targets ~invalidate ~commit =
         (fun () -> invalidate ~cpu:(Engine.current_cpu ())))
     lazies;
   Engine.spin_hint "shootdown.checked_in";
-  (* Report the rendezvous as a wait edge: if a participant cpu never
-     checks in (the section-7 interrupt deadlock), the detector can close
-     the cycle through this barrier instead of showing a silent spin. *)
-  let wf_rendezvous = Waits_for.Rendezvous { name = "tlb-shootdown" } in
-  let tracking = Waits_for.tracking () in
-  if tracking then
-    Waits_for.note_wait
-      ~tid:(Engine.thread_id (Engine.self ()))
-      ~tname:(Engine.thread_name (Engine.self ()))
-      wf_rendezvous;
+  Probe.wait_on rendezvous;
   while Engine.Cell.get checked_in < n do
     Engine.pause ()
   done;
-  if tracking then
-    Waits_for.note_wait_done
-      ~tid:(Engine.thread_id (Engine.self ()))
-      wf_rendezvous;
+  Probe.wait_off rendezvous;
   commit ();
   invalidate ~cpu:me;
   Engine.Cell.set go 1;

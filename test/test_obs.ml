@@ -292,7 +292,7 @@ let test_metrics_registry () =
   check_int "reset zeroes counters" 0 (Metrics.counter_value c);
   check_int "reset zeroes histograms" 0 (Hist.count (Metrics.merged h))
 
-let test_profile_classes_and_edges () =
+let test_profile_classes () =
   Profile.reset ();
   check_bool "class strips digits" true
     (Profile.class_of_name "slock12" = "slock");
@@ -300,17 +300,10 @@ let test_profile_classes_and_edges () =
     (Profile.class_of_name "lock3.interlock" = "lock.interlock");
   check_bool "all-digit name falls back" true
     (Profile.class_of_name "42" = "lock");
-  (* thread 1 holds a pmap lock, then contends on a pv lock: edge *)
-  Profile.note_acquire ~tid:1 ~name:"pmap0" ~contended:false ~wait_cycles:0;
-  Profile.note_acquire ~tid:1 ~name:"pv3" ~contended:true ~wait_cycles:250;
-  Profile.note_release ~tid:1 ~name:"pv3" ~held_cycles:10;
-  Profile.note_release ~tid:1 ~name:"pmap0" ~held_cycles:100;
-  (match Profile.edges () with
-  | [ (holder, wanted, n) ] ->
-      check_bool "edge holder" true (holder = "pmap");
-      check_bool "edge wanted" true (wanted = "pv");
-      check_int "edge count" 1 n
-  | es -> Alcotest.fail (Printf.sprintf "expected 1 edge, got %d" (List.length es)));
+  Profile.note_acquire ~cls:"pmap" ~contended:false ~wait_cycles:0;
+  Profile.note_acquire ~cls:"pv" ~contended:true ~wait_cycles:250;
+  Profile.note_release ~cls:"pv" ~held_cycles:10;
+  Profile.note_release ~cls:"pmap" ~held_cycles:100;
   (match Profile.top ~n:1 with
   | [ c ] ->
       check_bool "top class by wait" true (c.Profile.cls = "pv");
@@ -559,6 +552,81 @@ let test_blocked_by_edges_pinned () =
         (Printf.sprintf "expected exactly one blocked-by edge, got %d"
            (List.length edges))
 
+(* One probe feeds every view, so their totals agree by construction.
+   Each workload runs with spans and tracing on, and each equality is
+   checked: the profile against the lock metrics, the span sites against
+   the profile, and the trace against both. *)
+let check_views_agree ~what ~cpus run =
+  Mach_core.Lock_probe.reset_views ();
+  let cfg =
+    {
+      Config.default with
+      Config.cpus;
+      seed = 3;
+      trace = true;
+      trace_capacity = 1 lsl 20;
+    }
+  in
+  (match Engine.run_outcome ~cfg run with
+  | Engine.Completed _ -> ()
+  | _ -> Alcotest.fail (what ^ ": run did not complete"));
+  (match Engine.trace_drop_stats () with
+  | Some d ->
+      check_int (what ^ ": trace kept every event") 0
+        (d.Trace.dropped_spans + d.Trace.dropped_events)
+  | None -> Alcotest.fail (what ^ ": no trace"));
+  let classes = Profile.classes () in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 classes in
+  let counter n = Metrics.counter_value (Metrics.counter n) in
+  let acquisitions = counter "lock.acquisitions" in
+  check_bool (what ^ ": locks were taken") true (acquisitions > 0);
+  check_int (what ^ ": class acquisitions = lock.acquisitions") acquisitions
+    (sum (fun c -> c.Profile.acquisitions));
+  check_int (what ^ ": class contended = lock.contentions")
+    (counter "lock.contentions")
+    (sum (fun c -> c.Profile.contended));
+  check_int (what ^ ": class wait cycles = lock.wait_cycles sum")
+    (Hist.sum (Metrics.merged (Metrics.histogram "lock.wait_cycles")))
+    (sum (fun c -> c.Profile.wait_cycles));
+  let view =
+    match Span.last () with Some v -> v | None -> Alcotest.fail "no span view"
+  in
+  List.iter
+    (fun c ->
+      let blocked =
+        List.fold_left
+          (fun acc (site : Span.site) ->
+            let lbl = site.Span.s_label in
+            if
+              site.Span.s_kind = Span.Lock
+              && Profile.class_of_name
+                   (String.sub lbl 5 (String.length lbl - 5))
+                 = c.Profile.cls
+            then acc + site.Span.s_blocked
+            else acc)
+          0 view.Span.v_sites
+      in
+      check_int
+        (Printf.sprintf "%s: %s span s_blocked = class contended" what
+           c.Profile.cls)
+        c.Profile.contended blocked)
+    classes;
+  let traced =
+    List.length
+      (List.filter
+         (fun e ->
+           match e.Trace.ev with Event.Lock_acquire _ -> true | _ -> false)
+         (Engine.trace_events ()))
+  in
+  check_int (what ^ ": Lock_acquire events = acquisitions") acquisitions traced
+
+let test_views_agree () =
+  check_views_agree ~what:"contention" ~cpus:4 contention_scenario;
+  check_views_agree ~what:"rpc-serve" ~cpus:8 (fun () ->
+      ignore
+        (Mach_kernel.Scenarios.rpc_serve ~shards:2 ~batch:2 ~calls_each:4
+           ~spin:0 ()))
+
 (* Cross-run leak regression (the PR-4 Event-registry bug shape): a
    second identical run must latch an identical view, not a doubled
    one — Run_reset really clears the live span tables between runs. *)
@@ -712,8 +780,7 @@ let () =
       ( "metrics + profile",
         [
           test_case "registry counters and shards" `Quick test_metrics_registry;
-          test_case "classes and waits-for edges" `Quick
-            test_profile_classes_and_edges;
+          test_case "lock classes" `Quick test_profile_classes;
         ] );
       ( "spans",
         [
@@ -733,5 +800,6 @@ let () =
             test_drop_stats_split;
           test_case "chrome export carries causal spans" `Quick
             test_chrome_export_has_spans;
+          test_case "every view agrees with the probe" `Quick test_views_agree;
         ] );
     ]
