@@ -1,7 +1,7 @@
 (* The engine perf regression harness.
 
-   Two measurements, both against fixed scenarios so numbers are
-   comparable across commits:
+   Measurements against fixed scenarios, so numbers are comparable
+   across commits:
 
    - single-domain engine throughput: the 16-cpu E1 contention scenario
      (one lock, shared data, Timed policy) run repeatedly on one domain;
@@ -9,6 +9,9 @@
    - domain-parallel seed sweep: `Sim_explore.run` over a fixed seed set,
      sequential vs. fanned out across domains, with the verdicts checked
      equal; reported as wall-clock speedup.
+   - deterministic rows (vm, cache, rpc, mc): simulated makespan ratios,
+     engine work per simulated RPC and the model checker's execution
+     count, which the perf gate checks against committed bounds.
 
    Results are written to BENCH_sim_perf.json so CI can archive the perf
    trajectory per PR (`make perf-smoke` runs the `--fast` variant). *)
@@ -18,6 +21,7 @@ module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
 module K = Mach_ksync.Ksync
 module Obs_json = Mach_obs.Obs_json
+module Mc = Mach_mc.Mc
 
 let e1_scenario ~iters () =
   let lock = K.Slock.make ~name:"e1" ~protocol:Mach_core.Spin.Ttas () in
@@ -323,6 +327,43 @@ let rpc_row () =
       ("resumes_per_rpc", Obs_json.Float (per_rpc resumes));
     ]
 
+(* One model-checker execution.  The bounded DPOR search of the 3-cpu
+   scache cell (two readers racing one writer, preemption bound 3) is
+   the benchmark's mc-scache3 workload.  Its execution count is
+   deterministic and gated exactly: a change that explores a different
+   schedule set moves it.  Host time per execution is reported, not
+   gated; it is the best of three searches (noise only slows one) over
+   every execution the search starts, complete or cut short by sleep-set
+   pruning. *)
+let mc_row () =
+  let search () =
+    Mc.check ~cpus:3 ~mode:Mc.Dpor ~bound:3 (fun () ->
+        ignore (Mach_kernel.Scenarios.scache_rrw ()))
+  in
+  let runs = List.init 3 (fun _ -> wall search) in
+  let r = fst (List.hd runs) in
+  let best = List.fold_left (fun b (_, secs) -> Float.min b secs) infinity runs in
+  if not r.Mc.verified then begin
+    Printf.eprintf "FATAL: mc: scache-rrw (3 cpus, bound 3) not verified\n";
+    exit 1
+  end;
+  let st = r.Mc.stats in
+  let started = st.Mc.executions + st.Mc.pruned in
+  let us_per_execution = 1e6 *. best /. float_of_int started in
+  Printf.printf
+    "mc: 3-cpu scache-rrw, bound 3  executions=%d pruned=%d transitions=%d \
+     (deterministic)  best search=%.3fs  host us/execution=%.1f\n%!"
+    st.Mc.executions st.Mc.pruned st.Mc.transitions best us_per_execution;
+  Obs_json.Obj
+    [
+      ("scenario", Obs_json.String "scache-rrw-3cpu-bound3");
+      ("executions", Obs_json.Int st.Mc.executions);
+      ("pruned", Obs_json.Int st.Mc.pruned);
+      ("transitions", Obs_json.Int st.Mc.transitions);
+      ("search_s", Obs_json.Float best);
+      ("host_us_per_execution", Obs_json.Float us_per_execution);
+    ]
+
 (* The wall times of the full E20 bench and of tier-1 are measured
    outside this harness (a whole bench run, a whole test suite), before
    and after a change, and recorded by hand under "host_walls".  Carry
@@ -357,6 +398,7 @@ let () =
       ("vm", vm_row ());
       ("cache", cache_row ());
       ("rpc", rpc_row ());
+      ("mc", mc_row ());
     ]
   in
   let fields =

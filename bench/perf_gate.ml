@@ -21,10 +21,12 @@
    checked directly against their committed floors — no estimator
    pairing needed.  rpc.resumes_per_rpc, the engine's fiber resumes per
    simulated RPC, is deterministic too and checked against a committed
-   ceiling.
+   ceiling.  mc.executions, the model checker's execution count for the
+   3-cpu scache search at bound 3, must equal its committed value.
 
    --inject-slowdown applies a 2x regression to every measured value
-   before the comparison (halving a floor row, doubling a ceiling row);
+   before the comparison (halving a floor row, doubling a ceiling or
+   exact row);
    --inject-row ROW applies it to that deterministic row only.  CI runs
    both once per pipeline to prove the gate actually trips on each row
    (a gate that cannot fail gates nothing). *)
@@ -82,7 +84,7 @@ let () =
       ( "--inject-row",
         Arg.Set_string inject_row,
         "ROW apply a 2x regression to that deterministic row only (vm, \
-         cache, rpc or rpc-resumes; gate selftest per row)" );
+         cache, rpc, rpc-resumes or mc; gate selftest per row)" );
     ]
   in
   Arg.parse spec
@@ -143,9 +145,9 @@ let () =
      changes.  Each check runs only when the committed reference carries
      the row (older references predate it), and --inject-row ROW
      regresses just that row 2x so the selftest can prove each one trips
-     independently of the engine rows.  A [ceiling] row fails above its
-     bound instead of below it. *)
-  let det_check ?(ceiling = false) ?row ~section ~label ~ref_field
+     independently of the engine rows.  A [`Ceiling] row fails above its
+     bound instead of below it, an [`Exact] row anywhere but on it. *)
+  let det_check ?(bound_kind = `Floor) ?row ~section ~label ~ref_field
       ~meas_field ~fail_text () =
     let row = Option.value row ~default:section in
     let field doc path f =
@@ -165,14 +167,26 @@ let () =
         | Some m ->
             let injected = !inject || !inject_row = row in
             let m =
-              if not injected then m else if ceiling then m *. 2. else m /. 2.
+              match (injected, bound_kind) with
+              | false, _ -> m
+              | true, `Floor -> m /. 2.
+              | true, (`Ceiling | `Exact) -> m *. 2.
             in
             Printf.printf "perf-gate: %s: %s.%s measured=%.2f  %s=%.2f%s\n"
               label section meas_field m
-              (if ceiling then "ceiling" else "floor")
+              (match bound_kind with
+              | `Floor -> "floor"
+              | `Ceiling -> "ceiling"
+              | `Exact -> "exact")
               bound
               (if injected then "  [injected 2x regression]" else "");
-            if if ceiling then m > bound else m < bound then begin
+            let failed =
+              match bound_kind with
+              | `Floor -> m < bound
+              | `Ceiling -> m > bound
+              | `Exact -> m <> bound
+            in
+            if failed then begin
               Printf.printf "perf-gate: FAIL: %s (the number is \
                              deterministic, not host noise)\n"
                 (fail_text bound);
@@ -219,7 +233,7 @@ let () =
   in
   (* Host work of the same run: fiber resumes per simulated RPC. *)
   let resumes_failed =
-    det_check ~ceiling:true ~row:"rpc-resumes" ~section:"rpc"
+    det_check ~bound_kind:`Ceiling ~row:"rpc-resumes" ~section:"rpc"
       ~label:"rpc engine work" ~ref_field:"max_resumes_per_rpc"
       ~meas_field:"resumes_per_rpc"
       ~fail_text:(fun ceiling ->
@@ -230,8 +244,21 @@ let () =
           ceiling)
       ()
   in
+  (* The model checker's search size: executions of the bounded 3-cpu
+     scache search (the mc-scache3 benchmark workload). *)
+  let mc_failed =
+    det_check ~bound_kind:`Exact ~section:"mc" ~label:"mc search"
+      ~ref_field:"executions" ~meas_field:"executions"
+      ~fail_text:(fun n ->
+        Printf.sprintf
+          "the bounded 3-cpu scache-rrw search no longer runs exactly %.0f \
+           executions; the model checker now explores a different set of \
+           schedules"
+          n)
+      ()
+  in
   if
     ratio_failed || spans_failed || vm_failed || cache_failed || rpc_failed
-    || resumes_failed
+    || resumes_failed || mc_failed
   then exit 1
   else Printf.printf "perf-gate: OK\n"

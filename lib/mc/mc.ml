@@ -158,9 +158,11 @@ type node = {
   mutable sleep : (C.mc_transition * C.mc_access list) list;
   mutable chosen : int;
   mutable fp : C.mc_access list;  (* footprint of [chosen], set at commit *)
-  mutable vc : (string * int) list;
-      (* per-process vector clock after [chosen]: process -> latest
-         happens-before depth (Dpor mode only) *)
+  mutable proc : int;  (* interned process of [chosen] (Dpor mode only) *)
+  mutable vc : int array;
+      (* vector clock after [chosen], indexed by interned process: the
+         latest depth of that process that happens-before it, -1 for
+         none (Dpor mode only) *)
 }
 
 type failure = {
@@ -197,9 +199,12 @@ exception Diverged of string
 type search = {
   s_mode : mode;
   s_bound : int;  (* max_int = unbounded *)
-  s_cpus : int;
+  procs : (string, int) Hashtbl.t;  (* process name -> dense id (Dpor) *)
   mutable stack_arr : node array;  (* depth order; capacity >= stack_len *)
   mutable stack_len : int;  (* retained path length *)
+  mutable fresh_from : int;
+      (* first depth the current execution commits afresh; the depths
+         below it replay the retained path *)
   mutable depth : int;  (* current execution's depth *)
   mutable pending_sleep : (C.mc_transition * C.mc_access list) list;
   mutable st_executions : int;
@@ -209,6 +214,24 @@ type search = {
   mutable st_max_depth : int;
   mutable st_truncated : int;
 }
+
+let new_search ~mode ~bound =
+  {
+    s_mode = mode;
+    s_bound = (match bound with None -> max_int | Some b -> b);
+    procs = Hashtbl.create 16;
+    stack_arr = [||];
+    stack_len = 0;
+    fresh_from = 0;
+    depth = 0;
+    pending_sleep = [];
+    st_executions = 0;
+    st_pruned = 0;
+    st_transitions = 0;
+    st_choice_points = 0;
+    st_max_depth = 0;
+    st_truncated = 0;
+  }
 
 let push_node s node =
   if Array.length s.stack_arr = s.stack_len then begin
@@ -280,10 +303,16 @@ let proc_of (t : C.mc_transition) =
       else frame
   | C.Mc_deliver { intr; _ } -> Printf.sprintf "intr:%s@%d" intr t.C.mc_cpu
 
-let vc_get r p = match List.assoc_opt p r with Some v -> v | None -> -1
-
-let vc_put r p v =
-  if vc_get r p >= v then r else (p, v) :: List.remove_assoc p r
+(* Processes are interned to dense ids once, when their transition
+   commits, so the race scan compares ints and joins int arrays. *)
+let intern s t =
+  let p = proc_of t in
+  match Hashtbl.find_opt s.procs p with
+  | Some id -> id
+  | None ->
+      let id = Hashtbl.length s.procs in
+      Hashtbl.add s.procs p id;
+      id
 
 (* DPOR backward race scan, run when transition [d] commits.  [r] is the
    running vector-clock join of the transitions that happen-before [d]
@@ -294,51 +323,71 @@ let vc_put r p v =
    race is not directly identifiable from the candidate list, we add
    every budget-eligible candidate at the racing node (a sound,
    conservative superset of the classic "the racing thread or all"
-   rule). *)
+   rule).
+
+   Only commits the current execution makes afresh are scanned (see
+   [hooks_of]): a replayed commit's scan would read the same prefix,
+   footprints and clocks as when that depth was first committed, and
+   could only set backtrack marks that are already set. *)
 let dpor_commit s node d =
-  if s.s_mode = Dpor then begin
-    let t = node.cands.(node.chosen) in
-    let p = proc_of t in
-    let r = ref [] in
-    for d' = d - 1 downto 0 do
-      let n' = s.stack_arr.(d') in
-      let t' = n'.cands.(n'.chosen) in
-      let p' = proc_of t' in
-      if p' = p || fp_conflict n'.fp node.fp then begin
-        if p' <> p && vc_get !r p' < d' then
-          Array.iteri
-            (fun i _ ->
-              if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true)
-            n'.cands;
-        List.iter (fun (q, v) -> r := vc_put !r q v) n'.vc
-      end
-    done;
-    r := vc_put !r p d;
-    node.vc <- !r
-  end
+  let p = intern s node.cands.(node.chosen) in
+  node.proc <- p;
+  let r = Array.make (Hashtbl.length s.procs) (-1) in
+  for d' = d - 1 downto 0 do
+    let n' = s.stack_arr.(d') in
+    let p' = n'.proc in
+    if p' = p || fp_conflict n'.fp node.fp then begin
+      if p' <> p && r.(p') < d' then
+        Array.iteri
+          (fun i _ ->
+            if n'.costs.(i) <= n'.budget then n'.backtrack.(i) <- true)
+          n'.cands;
+      let vc' = n'.vc in
+      for q = 0 to Array.length vc' - 1 do
+        if vc'.(q) > r.(q) then r.(q) <- vc'.(q)
+      done
+    end
+  done;
+  r.(p) <- d;
+  node.vc <- r
+
+let show_transitions a =
+  String.concat " | "
+    (Array.to_list
+       (Array.map (fun t -> Format.asprintf "%a" pp_transition t) a))
+
+(* Re-execution stopped reproducing the retained path at depth [d]: the
+   scenario depends on something outside the schedule. *)
+let diverged s d what =
+  raise
+    (Diverged
+       (Printf.sprintf "depth %d: %s; prefix: %s" d what
+          (show_transitions (trace_of_stack { s with depth = d }))))
 
 (* The hooks driving one execution.  Depths below the retained stack
    replay the stored choice; beyond it, fresh nodes pick the cheapest
-   (least-preemptive, lowest-index) selectable candidate. *)
+   (least-preemptive, lowest-index) selectable candidate.
+
+   A replayed depth must offer the stored choice and commit the stored
+   footprint, or the search raises [Diverged]: the bookkeeping those
+   depths keep from earlier executions (footprints, clocks, backtrack
+   marks) is only valid for a faithful replay. *)
 let hooks_of s ~forced =
   let choose (cands : C.mc_transition array) =
     let d = s.depth in
     if d < s.stack_len then begin
       let node = s.stack_arr.(d) in
-      if Array.length node.cands <> Array.length cands then begin
-        let show a =
-          String.concat " | "
-            (Array.to_list
-               (Array.map (fun t -> Format.asprintf "%a" pp_transition t) a))
-        in
-        raise
-          (Diverged
-             (Printf.sprintf
-                "depth %d: %d candidates [%s], expected %d [%s]; prefix: %s" d
-                (Array.length cands) (show cands) (Array.length node.cands)
-                (show node.cands)
-                (show (trace_of_stack { s with depth = d }))))
-      end;
+      if Array.length node.cands <> Array.length cands then
+        diverged s d
+          (Printf.sprintf "%d candidates [%s], expected %d [%s]"
+             (Array.length cands) (show_transitions cands)
+             (Array.length node.cands)
+             (show_transitions node.cands));
+      let want = node.cands.(node.chosen) in
+      if not (same_transition cands.(node.chosen) want) then
+        diverged s d
+          (Format.asprintf "offered %a at index %d, expected %a" pp_transition
+             cands.(node.chosen) node.chosen pp_transition want);
       s.depth <- d + 1;
       node.chosen
     end
@@ -367,7 +416,8 @@ let hooks_of s ~forced =
           sleep = s.pending_sleep;
           chosen = -1;
           fp = [];
-          vc = [];
+          proc = -1;
+          vc = [||];
         }
       in
       let chosen =
@@ -378,8 +428,7 @@ let hooks_of s ~forced =
           Array.iteri
             (fun i t -> if !k < 0 && same_transition t want then k := i)
             cands;
-          if !k < 0 then
-            raise (Diverged (Printf.sprintf "depth %d: forced choice absent" d));
+          if !k < 0 then diverged s d "forced choice absent";
           !k
         end
         else begin
@@ -410,16 +459,23 @@ let hooks_of s ~forced =
   let commit fp =
     let d = s.depth - 1 in
     let node = s.stack_arr.(d) in
-    node.fp <- fp;
     s.st_transitions <- s.st_transitions + 1;
-    dpor_commit s node d;
-    if s.s_mode <> Naive then
-      s.pending_sleep <-
-        List.filter
-          (fun (t, tfp) ->
-            not (dependent t tfp node.cands.(node.chosen) fp))
-          node.sleep
-    else s.pending_sleep <- []
+    if d < s.fresh_from then begin
+      (* Replayed: the race scan and the sleep set handed to the next
+         fresh node are the ones computed when this depth was fresh. *)
+      if fp <> node.fp then diverged s d "footprint differs from the stored one"
+    end
+    else begin
+      node.fp <- fp;
+      if s.s_mode = Dpor then dpor_commit s node d;
+      if s.s_mode <> Naive then
+        s.pending_sleep <-
+          List.filter
+            (fun (t, tfp) ->
+              not (dependent t tfp node.cands.(node.chosen) fp))
+            node.sleep
+      else s.pending_sleep <- []
+    end
   in
   { C.mc_choose = choose; mc_commit = commit }
 
@@ -447,11 +503,10 @@ let backtrack s =
   go (s.stack_len - 1)
 
 let preemptions (tr : trace) =
-  (* Recomputed from the trace alone: a transition is preemptive iff the
-     previous transition's cpu differs and still appears later-or-now as
-     enabled... the trace does not carry enabled sets, so count cpu
-     switches where the previous cpu reappears later in the trace (it
-     still had work). *)
+  (* Recomputed from the trace alone.  A switch is preemptive when the
+     cpu switched away from could still run.  A trace does not record
+     which transitions were enabled, so "could still run" is read as
+     "runs again later in the trace". *)
   let n = Array.length tr in
   let p = ref 0 in
   for i = 1 to n - 1 do
@@ -494,6 +549,8 @@ type exec_outcome =
 
 let run_one s ~cpus ~max_steps ~forced scenario =
   s.depth <- 0;
+  (* [backtrack] left the switched node last on the retained path. *)
+  s.fresh_from <- max 0 (s.stack_len - 1);
   s.pending_sleep <- [];
   let hooks = hooks_of s ~forced in
   let cfg = make_cfg ~cpus ~max_steps hooks in
@@ -528,23 +585,7 @@ let stats_of s =
    (empty outside the domain fan-out). *)
 let search_subtree ~mode ~bound ~cpus ~max_steps ~max_executions ~forced
     scenario =
-  let s =
-    {
-      s_mode = mode;
-      s_bound = (match bound with None -> max_int | Some b -> b);
-      s_cpus = cpus;
-      stack_arr = [||];
-      stack_len = 0;
-      depth = 0;
-      pending_sleep = [];
-      st_executions = 0;
-      st_pruned = 0;
-      st_transitions = 0;
-      st_choice_points = 0;
-      st_max_depth = 0;
-      st_truncated = 0;
-    }
-  in
+  let s = new_search ~mode ~bound in
   let failure = ref None in
   let hit_cap = ref false in
   let continue_ = ref true in
@@ -598,23 +639,7 @@ let zero_stats =
    start with empty sleep sets at the branch node — a sound superset of
    the sequential exploration. *)
 let probe_branch_point ~bound ~cpus ~max_steps scenario =
-  let s =
-    {
-      s_mode = Naive;
-      s_bound = (match bound with None -> max_int | Some b -> b);
-      s_cpus = cpus;
-      stack_arr = [||];
-      stack_len = 0;
-      depth = 0;
-      pending_sleep = [];
-      st_executions = 0;
-      st_pruned = 0;
-      st_transitions = 0;
-      st_choice_points = 0;
-      st_max_depth = 0;
-      st_truncated = 0;
-    }
-  in
+  let s = new_search ~mode:Naive ~bound in
   ignore (run_one s ~cpus ~max_steps ~forced:[||] scenario);
   let arr = s.stack_arr and len = s.stack_len in
   let rec find d =

@@ -72,6 +72,16 @@ type result = {
 
 val pp_result : Format.formatter -> result -> unit
 
+exception Diverged of string
+(** Raised by {!check} when re-executing a stored choice prefix does not
+    reproduce it: at some depth the scenario offers a different
+    candidate list or choice, or the chosen transition touches a
+    different footprint.  The search's bookkeeping is only valid for
+    faithful replays, so this ends the search instead of producing a
+    verdict.  The message names the depth and the prefix.  A scenario
+    that reads state surviving from an earlier execution (a ref outside
+    its closure that steers which cells it touches) triggers it. *)
+
 val check :
   ?cpus:int ->
   ?mode:mode ->
@@ -97,7 +107,9 @@ val check :
     preemptions as the bug allows.
 
     Incompatible with fault injection ({!Mach_sim.Sim_config.faults});
-    the scenario must not itself call {!Mach_sim.Sim_engine.run}. *)
+    the scenario must not itself call {!Mach_sim.Sim_engine.run}, and
+    must behave the same on every execution of the same schedule
+    (raises {!Diverged} otherwise). *)
 
 val replay :
   ?cpus:int ->

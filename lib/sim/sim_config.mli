@@ -118,6 +118,9 @@ type t = {
   max_steps : int option;   (** hard step bound, None = unbounded *)
   trace : bool;             (** record an event trace *)
   trace_capacity : int;
+      (** total events the trace retains, over its per-cpu rings.  Ring
+          storage exists only when [trace] is on: an untraced run
+          allocates none. *)
   spans : bool;
       (** record causal spans and blocked-by edges ([Obs_span]) and feed
           the flight recorder.  On by default: recording consumes no

@@ -44,9 +44,12 @@ type t = {
   mutable disabled_spans : int;
 }
 
+(* A disabled trace never stores a record, so it gets no rings at all:
+   an untraced run (every model-checker execution among them) would
+   otherwise allocate and later walk [capacity] empty slots. *)
 let make ?(cpus = 1) ~capacity ~enabled () =
-  let nrings = max 1 cpus + 1 in
-  let per_ring = max 1 (capacity / nrings) in
+  let nrings = if enabled then max 1 cpus + 1 else 0 in
+  let per_ring = max 1 (capacity / max 1 nrings) in
   {
     per_ring;
     on = enabled;
@@ -93,9 +96,12 @@ let events t =
   let out = ref [] in
   Array.iter
     (fun r ->
-      for i = 0 to t.per_ring - 1 do
-        let idx = (r.next + i) mod t.per_ring in
-        match r.buf.(idx) with Some e -> out := e :: !out | None -> ()
+      (* The [count] live slots end just before [next]. *)
+      let first = r.next - r.count + t.per_ring in
+      for i = 0 to r.count - 1 do
+        match r.buf.((first + i) mod t.per_ring) with
+        | Some e -> out := e :: !out
+        | None -> ()
       done)
     t.rings;
   List.sort (fun (a : event) (b : event) -> compare a.seq b.seq) !out
@@ -116,7 +122,7 @@ let drop_stats t =
 let clear t =
   Array.iter
     (fun r ->
-      Array.fill r.buf 0 t.per_ring None;
+      if r.count > 0 then Array.fill r.buf 0 t.per_ring None;
       r.next <- 0;
       r.count <- 0;
       r.overflowed <- 0)

@@ -2,8 +2,9 @@
    section 6 event-wait protocol and the section 7 same-spl rule, a
    golden minimal counterexample for the section 7 deadlock, and the
    mechanics the verdicts rest on (trace round-trip, byte-identical
-   replay, preemption bounding, mode agreement, fault-injection
-   exclusion). *)
+   replay, the replay guard, preemption bounding, mode agreement,
+   fault-injection exclusion), and the exact size of the flagship
+   searches. *)
 
 module Mc = Mach_mc.Mc
 module Engine = Mach_sim.Sim_engine
@@ -13,6 +14,16 @@ module Chaos_scenarios = Mach_chaos.Chaos_scenarios
 open Test_support
 
 let same_spl ~disciplined () = Scenarios.same_spl_holder ~disciplined ()
+
+(* The exact size of a search: executions, pruned executions and
+   committed transitions.  Pinned for the flagship searches so that any
+   change to which schedules the checker explores shows up here, not
+   only as a verdict. *)
+let check_search label r (executions, pruned, transitions) =
+  let st = r.Mc.stats in
+  check_int (label ^ ": executions") executions st.Mc.executions;
+  check_int (label ^ ": pruned") pruned st.Mc.pruned;
+  check_int (label ^ ": transitions") transitions st.Mc.transitions
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive verification verdicts                                     *)
@@ -24,14 +35,16 @@ let test_same_spl_verified () =
   let r = Mc.check ~cpus:2 (same_spl ~disciplined:true) in
   check_bool "complete" true r.Mc.complete;
   check_bool "verified" true r.Mc.verified;
-  check_bool "no failure" true (r.Mc.failure = None)
+  check_bool "no failure" true (r.Mc.failure = None);
+  check_search "same-spl dpor" r (11, 0, 272)
 
 let test_event_wait_verified () =
   (* Section 6: the assert_wait / re-test / thread_block protocol never
      loses a wakeup under any interleaving (no fault injection). *)
   let r = Mc.check ~cpus:2 Chaos_scenarios.lost_wakeup_handoff in
   check_bool "complete" true r.Mc.complete;
-  check_bool "verified" true r.Mc.verified
+  check_bool "verified" true r.Mc.verified;
+  check_search "handoff dpor" r (84, 84, 3584)
 
 let test_same_spl_buggy_fails () =
   let r = Mc.check ~cpus:2 (same_spl ~disciplined:false) in
@@ -239,7 +252,44 @@ let test_scache_rrw_matrix () =
   check_bool "complete" true r.Mc.complete;
   check_bool "verified (no reader/writer overlap on any schedule)" true
     r.Mc.verified;
-  check_bool "some schedule interleaves the two readers" true !witnessed
+  check_bool "some schedule interleaves the two readers" true !witnessed;
+  check_search "scache-rrw unbounded" r (11_093, 23_200, 3_509_121)
+
+(* The same cell under preemption bound 3: the search the benchmark and
+   the perf gate time. *)
+let test_scache_rrw_bound3 () =
+  let r =
+    Mc.check ~cpus:3 ~bound:3 (fun () -> ignore (Scenarios.scache_rrw ()))
+  in
+  check_bool "verified" true r.Mc.verified;
+  check_search "scache-rrw bound 3" r (1_321, 973, 221_027)
+
+(* Replay guard.  The checker re-executes the scenario from scratch for
+   every schedule and trusts the replayed prefix to match the stored
+   one.  This scenario breaks that on purpose: a ref outside the closure
+   flips on every execution and steers which cell main reads first, so
+   the second execution's replayed prefix commits a different footprint.
+   The search must stop with [Diverged] rather than return a verdict
+   built on stale bookkeeping (without the guard it reports VERIFIED). *)
+let test_replay_divergence () =
+  let flip = ref false in
+  let scenario () =
+    flip := not !flip;
+    let a = Engine.Cell.make ~name:"a" 0 in
+    let b = Engine.Cell.make ~name:"b" 0 in
+    let c = Engine.Cell.make ~name:"c" 0 in
+    ignore (Engine.Cell.get (if !flip then a else b));
+    let t = Engine.spawn ~name:"writer" (fun () -> Engine.Cell.set c 1) in
+    Engine.Cell.set c 2;
+    Engine.join t
+  in
+  match Mc.check ~cpus:2 scenario with
+  | exception Mc.Diverged msg ->
+      check_bool "names the footprint" true (contains msg "footprint");
+      check_bool "names the depth" true (contains msg "depth 1:")
+  | r ->
+      Alcotest.failf "non-replayable scenario produced a verdict (%d executions)"
+        r.Mc.stats.Mc.executions
 
 let test_faults_excluded () =
   let cfg =
@@ -290,6 +340,8 @@ let () =
         [
           Alcotest.test_case "3-cpu two readers vs one writer" `Slow
             test_scache_rrw_matrix;
+          Alcotest.test_case "bound-3 search size pinned" `Quick
+            test_scache_rrw_bound3;
         ] );
       ( "mechanics",
         [
@@ -300,5 +352,7 @@ let () =
           Alcotest.test_case "preemption bounding" `Quick test_preemption_bound;
           Alcotest.test_case "fault injection excluded" `Quick
             test_faults_excluded;
+          Alcotest.test_case "non-replayable scenario diverges" `Quick
+            test_replay_divergence;
         ] );
     ]

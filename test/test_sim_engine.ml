@@ -488,6 +488,38 @@ let test_explore_finds_deadlock () =
   | Some _ -> ()
   | None -> Alcotest.fail "exploration failed to find an obvious deadlock"
 
+(* ------------------------------------------------------------------ *)
+
+(* An untraced run stores no trace, so it must not pay for ring storage
+   either: the default 65,536-slot capacity alone would be 512 KB.  The
+   model checker runs thousands of untraced executions per search. *)
+let test_disabled_trace_allocates_no_rings () =
+  let cfg = { (cfg ~cpus:4 ()) with Config.trace = false } in
+  let scenario () =
+    let c = Engine.Cell.make ~name:"c" 0 in
+    let ts =
+      List.init 2 (fun _ ->
+          Engine.spawn (fun () ->
+              for _ = 1 to 5 do
+                ignore (Engine.Cell.fetch_and_add c 1)
+              done))
+    in
+    List.iter Engine.join ts
+  in
+  ignore (Engine.run ~cfg scenario);
+  let before = Gc.allocated_bytes () in
+  ignore (Engine.run ~cfg scenario);
+  let bytes = Gc.allocated_bytes () -. before in
+  if bytes >= 65536. then
+    Alcotest.failf "an untraced run allocated %.0f bytes (limit 64 KB)" bytes;
+  check_int "no events retained" 0 (List.length (Engine.trace_events ()));
+  let t =
+    Mach_sim.Sim_trace.make ~cpus:4 ~capacity:cfg.Config.trace_capacity
+      ~enabled:false ()
+  in
+  Mach_sim.Sim_trace.clear t;
+  check_int "disabled trace retains nothing" 0 (Mach_sim.Sim_trace.capacity t)
+
 let () =
   Alcotest.run "sim_engine"
     [
@@ -548,5 +580,10 @@ let () =
             test_explore_all_completed;
           Alcotest.test_case "finds deadlock" `Quick
             test_explore_finds_deadlock;
+        ] );
+      ( "trace",
+        [
+          Alcotest.test_case "disabled trace allocates no rings" `Quick
+            test_disabled_trace_allocates_no_rings;
         ] );
     ]
