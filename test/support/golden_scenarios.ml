@@ -179,6 +179,18 @@ let rpc_serve () =
     (Mach_kernel.Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:48
        ())
 
+(* The same path with no spin budget: every receive and reply wait
+   parks, so the run queue changes on every RPC. *)
+let rpc_park () =
+  ignore
+    (Mach_kernel.Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:0
+       ())
+
+(* Bound threads on three cpus and a cross-cpu interrupt barrier: the
+   section 7 three-processor pattern under the disciplined spl rule. *)
+let barrier_disciplined () =
+  Mach_kernel.Scenarios.interrupt_barrier_scenario ~disciplined:true ()
+
 let scenarios : (string * (unit -> unit)) list =
   [
     ("contention", contention);
@@ -192,6 +204,8 @@ let scenarios : (string * (unit -> unit)) list =
     ("scache-readers", scache_readers);
     ("cx-scache", cx_scache);
     ("rpc-serve", rpc_serve);
+    ("rpc-park", rpc_park);
+    ("barrier-disciplined", barrier_disciplined);
   ]
 
 (* The configuration matrix exercises every scheduler policy (and thus
@@ -228,6 +242,13 @@ let matrix : (string * int * int * Config.policy) list =
     ("rpc-serve", 16, 3, Config.Timed);
     ("rpc-serve", 16, 5, Config.Random_policy);
     ("rpc-serve", 16, 7, Config.Round_robin);
+    (* Run-queue, bound-queue and cross-cpu interrupt changes while other
+       cpus run: the events that make the scheduler rebuild its
+       candidate set. *)
+    ("rpc-park", 16, 3, Config.Timed);
+    ("shootdown", 16, 3, Config.Timed);
+    ("barrier-disciplined", 4, 3, Config.Timed);
+    ("barrier-disciplined", 4, 7, Config.Round_robin);
   ]
 
 let line (name, cpus, seed, policy) =
