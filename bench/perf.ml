@@ -290,7 +290,11 @@ let cache_row () =
    Nearly every step of that run is a reply or request spin-wait
    iteration, which the scheduler runs in place without resuming the
    waiter; resumes_per_rpc is deterministic and climbs back to
-   steps_per_rpc if that fast path stops applying. *)
+   steps_per_rpc if that fast path stops applying.  collections_per_rpc
+   counts the scheduler's full candidate collections (a scan of every
+   cpu): only a dispatch, a queue or interrupt change, or a cpu left idle
+   forces one, and it climbs towards steps_per_rpc if the scheduler
+   stops carrying its candidate set across the other steps. *)
 let rpc_serve ~shards ~batch =
   let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
   let served = ref 0 in
@@ -299,14 +303,16 @@ let rpc_serve ~shards ~batch =
         served :=
           fst (Mach_kernel.Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
   in
-  let resumes =
-    match Engine.last_work () with Some w -> w.Engine.resumes | None -> 0
+  let work =
+    match Engine.last_work () with
+    | Some w -> w
+    | None -> { Engine.resumes = 0; collections = 0 }
   in
-  (stats, resumes, !served)
+  (stats, work, !served)
 
 let rpc_row () =
   let flat, _, _ = rpc_serve ~shards:1 ~batch:1 in
-  let sharded, resumes, served = rpc_serve ~shards:8 ~batch:8 in
+  let sharded, work, served = rpc_serve ~shards:8 ~batch:8 in
   let flat = flat.Engine.makespan in
   let steps = sharded.Engine.steps in
   let sharded = sharded.Engine.makespan in
@@ -315,8 +321,9 @@ let rpc_row () =
   Printf.printf
     "rpc: 64-cpu serving  flat makespan=%d  sharded+batched makespan=%d  \
      throughput_speedup=%.2fx  steps/rpc=%.1f  resumes/rpc=%.1f \
-     (deterministic)\n%!"
-    flat sharded speedup (per_rpc steps) (per_rpc resumes);
+     collections/rpc=%.2f (deterministic)\n%!"
+    flat sharded speedup (per_rpc steps) (per_rpc work.Engine.resumes)
+    (per_rpc work.Engine.collections);
   Obs_json.Obj
     [
       ("scenario", Obs_json.String "rpc-serve-64cpu");
@@ -324,7 +331,9 @@ let rpc_row () =
       ("sharded_batched_makespan", Obs_json.Int sharded);
       ("throughput_speedup", Obs_json.Float speedup);
       ("steps_per_rpc", Obs_json.Float (per_rpc steps));
-      ("resumes_per_rpc", Obs_json.Float (per_rpc resumes));
+      ("resumes_per_rpc", Obs_json.Float (per_rpc work.Engine.resumes));
+      ( "collections_per_rpc",
+        Obs_json.Float (per_rpc work.Engine.collections) );
     ]
 
 (* One model-checker execution.  The bounded DPOR search of the 3-cpu

@@ -21,8 +21,10 @@
    checked directly against their committed floors — no estimator
    pairing needed.  rpc.resumes_per_rpc, the engine's fiber resumes per
    simulated RPC, is deterministic too and checked against a committed
-   ceiling.  mc.executions, the model checker's execution count for the
-   3-cpu scache search at bound 3, must equal its committed value.
+   ceiling, as is rpc.collections_per_rpc, the scheduler's full
+   candidate collections per simulated RPC.  mc.executions, the model
+   checker's execution count for the 3-cpu scache search at bound 3,
+   must equal its committed value.
 
    --inject-slowdown applies a 2x regression to every measured value
    before the comparison (halving a floor row, doubling a ceiling or
@@ -84,7 +86,8 @@ let () =
       ( "--inject-row",
         Arg.Set_string inject_row,
         "ROW apply a 2x regression to that deterministic row only (vm, \
-         cache, rpc, rpc-resumes or mc; gate selftest per row)" );
+         cache, rpc, rpc-resumes, rpc-collections or mc; gate selftest per \
+         row)" );
     ]
   in
   Arg.parse spec
@@ -244,6 +247,21 @@ let () =
           ceiling)
       ()
   in
+  (* Scheduler work of the same run: full candidate collections per
+     simulated RPC. *)
+  let collections_failed =
+    det_check ~bound_kind:`Ceiling ~row:"rpc-collections" ~section:"rpc"
+      ~label:"rpc scheduler work" ~ref_field:"max_collections_per_rpc"
+      ~meas_field:"collections_per_rpc"
+      ~fail_text:(fun ceiling ->
+        Printf.sprintf
+          "the 64-cpu sharded+batched RPC run rescans every cpu for its \
+           next action more than %.2f times per simulated RPC; the \
+           scheduler no longer carries its candidate set across steps \
+           that leave the queues alone"
+          ceiling)
+      ()
+  in
   (* The model checker's search size: executions of the bounded 3-cpu
      scache search (the mc-scache3 benchmark workload). *)
   let mc_failed =
@@ -259,6 +277,6 @@ let () =
   in
   if
     ratio_failed || spans_failed || vm_failed || cache_failed || rpc_failed
-    || resumes_failed || mc_failed
+    || resumes_failed || collections_failed || mc_failed
   then exit 1
   else Printf.printf "perf-gate: OK\n"

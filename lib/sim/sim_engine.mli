@@ -187,7 +187,15 @@ val last_stats : unit -> stats option
 val last_chaos : unit -> chaos_stats option
 (** Injection counts of the most recently completed run (this domain). *)
 
-type work_stats = { resumes : int  (** fiber resumes *) }
+type work_stats = {
+  resumes : int;  (** fiber resumes *)
+  collections : int;
+      (** full candidate collections: scans of every cpu for its next
+          action.  The seeded scheduler collects only after a dispatch,
+          after a step that enqueued, dequeued or posted an interrupt or
+          left its cpu with nothing to do, and on every step under fault
+          injection; other steps recompute the picked cpu alone. *)
+}
 (** Host work of a run, outside {!stats} (which pins only simulated
     numbers): [steps] minus [resumes] is the steps the scheduler ran as
     {!spin_wait} iterations in place. *)

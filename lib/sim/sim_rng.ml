@@ -1,17 +1,22 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a mutable [int64]
+   field would box a fresh value on every draw.  [next] reads, advances
+   and mixes it in one function, so no intermediate is boxed either. *)
+type t = Bytes.t
 
-let make seed = { state = Int64.of_int (seed lxor 0x5DEECE66D) }
-let copy t = { state = t.state }
+let make seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 (Int64.of_int (seed lxor 0x5DEECE66D));
+  t
 
-let next_int64 t =
+let copy = Bytes.copy
+
+let next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
-
-let next t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+  to_int (shift_right_logical (logxor z (shift_right_logical z 31)) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Sim_rng.int: bound must be positive";
