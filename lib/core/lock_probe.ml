@@ -47,7 +47,7 @@ module Make (M : Machine_intf.MACHINE) = struct
 
   type site = {
     name : string;
-    cls : string; (* Obs_profile class *)
+    prof : Obs_profile.slot; (* the lock's Obs_profile class record *)
     span : string; (* Obs_span label, "lock:<name>" *)
     res : Waits_for.resource; (* the lock's waits-for node *)
     stats : Lock_stats.t;
@@ -60,7 +60,7 @@ module Make (M : Machine_intf.MACHINE) = struct
   let site ~zero_holds ~name res =
     {
       name;
-      cls = Obs_profile.class_of_name name;
+      prof = Obs_profile.slot (Obs_profile.class_of_name name);
       span = Obs_span.label Obs_span.Lock name;
       res;
       stats = Lock_stats.make ();
@@ -119,7 +119,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     Obs_metrics.incr ~cpu m_acquisitions;
     if contended then Obs_metrics.incr ~cpu m_contentions;
     Obs_metrics.observe ~cpu h_wait wait_cycles;
-    Obs_profile.note_acquire ~cls:s.cls ~contended ~wait_cycles;
+    Obs_profile.note_acquire s.prof ~contended ~wait_cycles;
     if Obs_span.enabled () then begin
       (match blocker with
       | Some h when contended ->
@@ -145,7 +145,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     Lock_stats.record_release s.stats ~held_cycles;
     if held_cycles > 0 || s.zero_holds then
       Obs_metrics.observe ~cpu h_hold held_cycles;
-    Obs_profile.note_release ~cls:s.cls ~held_cycles;
+    Obs_profile.note_release s.prof ~held_cycles;
     Obs_span.exit_label s.span;
     if Obs_trace.enabled () then
       Obs_trace.emit (Obs_event.Lock_release { lock = s.name; held_cycles })

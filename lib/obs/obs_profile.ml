@@ -7,7 +7,8 @@
    "lock3.interlock" is "lock.interlock", "evt-bucket17" is "evt-bucket".
    The class plays the role the declaration site plays in the paper's
    Appendix A macros.  A lock computes its class once, when it is made
-   ({!Mach_core.Lock_probe}), so recording never rebuilds it.
+   ({!Mach_core.Lock_probe}), and holds a [slot] that keeps the class's
+   record, so recording neither rebuilds the class nor looks it up.
 
    Who waited for whom is not kept here: the live per-instance graph is
    [Waits_for] and the cumulative weighted one is the [Obs_span]
@@ -25,6 +26,10 @@ type class_stats = {
 let mu = Mutex.create ()
 let classes_tbl : (string, class_stats) Hashtbl.t = Hashtbl.create 64
 
+(* Bumped by every [reset]: a slot whose generation differs holds a
+   record the table no longer has. *)
+let generation = ref 0
+
 let class_of_name name =
   let buf = Buffer.create (String.length name) in
   String.iter (fun c -> if c < '0' || c > '9' then Buffer.add_char buf c) name;
@@ -40,37 +45,57 @@ let locked f =
       Mutex.unlock mu;
       raise e
 
+let new_stats cls =
+  {
+    cls;
+    acquisitions = 0;
+    contended = 0;
+    wait_cycles = 0;
+    hold_cycles = 0;
+    wait_hist = Obs_histogram.make ();
+  }
+
 let class_stats_locked cls =
   match Hashtbl.find_opt classes_tbl cls with
   | Some cs -> cs
   | None ->
-      let cs =
-        {
-          cls;
-          acquisitions = 0;
-          contended = 0;
-          wait_cycles = 0;
-          hold_cycles = 0;
-          wait_hist = Obs_histogram.make ();
-        }
-      in
+      let cs = new_stats cls in
       Hashtbl.add classes_tbl cls cs;
       cs
 
+(* A lock's recording slot: its class record, looked up in the table at
+   the first event and again at the first event after each [reset], so
+   an event costs no string-keyed lookup. *)
+type slot = {
+  slot_cls : string;
+  mutable stats : class_stats;
+  mutable gen : int; (* the [generation] [stats] was found in *)
+}
+
+let unbound = new_stats ""
+let slot cls = { slot_cls = cls; stats = unbound; gen = -1 }
+
+let slot_stats_locked sl =
+  if sl.gen <> !generation then begin
+    sl.stats <- class_stats_locked sl.slot_cls;
+    sl.gen <- !generation
+  end;
+  sl.stats
+
 (* The hot path takes the mutex by hand: [locked] would allocate a
    closure per call. *)
-let note_acquire ~cls ~contended ~wait_cycles =
+let note_acquire sl ~contended ~wait_cycles =
   Mutex.lock mu;
-  let cs = class_stats_locked cls in
+  let cs = slot_stats_locked sl in
   cs.acquisitions <- cs.acquisitions + 1;
   if contended then cs.contended <- cs.contended + 1;
   if wait_cycles > 0 then cs.wait_cycles <- cs.wait_cycles + wait_cycles;
   Obs_histogram.record cs.wait_hist wait_cycles;
   Mutex.unlock mu
 
-let note_release ~cls ~held_cycles =
+let note_release sl ~held_cycles =
   Mutex.lock mu;
-  let cs = class_stats_locked cls in
+  let cs = slot_stats_locked sl in
   if held_cycles > 0 then cs.hold_cycles <- cs.hold_cycles + held_cycles;
   Mutex.unlock mu
 
@@ -97,7 +122,8 @@ let top ~n =
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset classes_tbl)
+      Hashtbl.reset classes_tbl;
+      incr generation)
 
 let pp_report ?(top_n = 10) ppf () =
   let tops = top ~n:top_n in

@@ -23,11 +23,20 @@ val class_of_name : string -> string
 
 (** {1 Recording} (called from the lock-event probe) *)
 
-val note_acquire : cls:string -> contended:bool -> wait_cycles:int -> unit
-(** Record one acquisition of a lock of class [cls] (a {!class_of_name}
-    result, computed once per lock). *)
+type slot
+(** Where one lock records: its class's record, found in the class table
+    at the lock's first event and found again at its first event after
+    each {!reset}.  Making a slot records nothing, so a class appears in
+    {!classes} only once one of its locks reports an event. *)
 
-val note_release : cls:string -> held_cycles:int -> unit
+val slot : string -> slot
+(** [slot cls] for a class name (a {!class_of_name} result, computed once
+    per lock). *)
+
+val note_acquire : slot -> contended:bool -> wait_cycles:int -> unit
+(** Record one acquisition. *)
+
+val note_release : slot -> held_cycles:int -> unit
 
 (** {1 Reading} *)
 
@@ -42,6 +51,8 @@ val top : n:int -> class_stats list
 (** Top [n] classes by accumulated wait cycles. *)
 
 val reset : unit -> unit
+(** Empty the class table; every slot finds (or re-creates) its class
+    record at its next event, with counts starting from 0. *)
 
 val pp_report : ?top_n:int -> Format.formatter -> unit -> unit
 (** The contention table: top classes with first-attempt rate and wait

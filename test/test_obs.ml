@@ -300,10 +300,11 @@ let test_profile_classes () =
     (Profile.class_of_name "lock3.interlock" = "lock.interlock");
   check_bool "all-digit name falls back" true
     (Profile.class_of_name "42" = "lock");
-  Profile.note_acquire ~cls:"pmap" ~contended:false ~wait_cycles:0;
-  Profile.note_acquire ~cls:"pv" ~contended:true ~wait_cycles:250;
-  Profile.note_release ~cls:"pv" ~held_cycles:10;
-  Profile.note_release ~cls:"pmap" ~held_cycles:100;
+  let pmap = Profile.slot "pmap" and pv = Profile.slot "pv" in
+  Profile.note_acquire pmap ~contended:false ~wait_cycles:0;
+  Profile.note_acquire pv ~contended:true ~wait_cycles:250;
+  Profile.note_release pv ~held_cycles:10;
+  Profile.note_release pmap ~held_cycles:100;
   (match Profile.top ~n:1 with
   | [ c ] ->
       check_bool "top class by wait" true (c.Profile.cls = "pv");
@@ -323,6 +324,40 @@ let test_profile_classes () =
     (Profile.first_attempt_rate empty = 1.0);
   Profile.reset ();
   check_bool "reset clears classes" true (Profile.classes () = [])
+
+(* A slot keeps its class record across events and finds it again after
+   a reset: the reset still empties the table, a class with no event
+   since then stays absent, and a class that records again restarts
+   from 0. *)
+let test_profile_slots_across_reset () =
+  Profile.reset ();
+  let a = Profile.slot "slot-a" and b = Profile.slot "slot-b" in
+  check_bool "making a slot records nothing" true (Profile.classes () = []);
+  Profile.note_acquire a ~contended:true ~wait_cycles:40;
+  Profile.note_acquire a ~contended:false ~wait_cycles:0;
+  Profile.note_release a ~held_cycles:7;
+  Profile.note_acquire b ~contended:false ~wait_cycles:0;
+  let find cls =
+    List.find_opt (fun c -> c.Profile.cls = cls) (Profile.classes ())
+  in
+  (match find "slot-a" with
+  | Some c ->
+      check_int "acquisitions before reset" 2 c.Profile.acquisitions;
+      check_int "hold before reset" 7 c.Profile.hold_cycles
+  | None -> Alcotest.fail "slot-a missing before reset");
+  Profile.reset ();
+  check_bool "reset empties the table" true (Profile.classes () = []);
+  Profile.note_acquire a ~contended:false ~wait_cycles:0;
+  check_bool "a class with no event since the reset is absent" true
+    (find "slot-b" = None);
+  match find "slot-a" with
+  | Some c ->
+      check_int "acquisitions restart at 0" 1 c.Profile.acquisitions;
+      check_int "contended restarts at 0" 0 c.Profile.contended;
+      check_int "wait restarts at 0" 0 c.Profile.wait_cycles;
+      check_int "hold restarts at 0" 0 c.Profile.hold_cycles;
+      check_int "wait histogram restarts" 1 (Hist.count c.Profile.wait_hist)
+  | None -> Alcotest.fail "slot-a missing after reset"
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: a traced simulation run                                  *)
@@ -781,6 +816,8 @@ let () =
         [
           test_case "registry counters and shards" `Quick test_metrics_registry;
           test_case "lock classes" `Quick test_profile_classes;
+          test_case "slots across a reset" `Quick
+            test_profile_slots_across_reset;
         ] );
       ( "spans",
         [
