@@ -12,8 +12,6 @@
    Symmetry); the N0 section measures native per-operation costs with
    Bechamel on real hardware for calibration. *)
 
-module Engine = Mach_sim.Sim_engine
-module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
 module Spin = Mach_core.Spin
 module Stats = Mach_core.Lock_stats
@@ -24,6 +22,23 @@ module Kernel = Mach_kernel.Kernel
 open Bench_util
 
 let cpu_sweep = [ 1; 2; 4; 8; 16 ]
+
+(* Each variant's scenario explored on 3 cpus under seeds 1..[seeds]: how
+   many schedules completed and how many deadlocked (E6, E11). *)
+let verdict_table head ~seeds variants =
+  table
+    ~header:[ head; "schedules"; "completed"; "deadlocked" ]
+    (List.map
+       (fun (name, scenario) ->
+         let seeds = List.init seeds (fun s -> s + 1) in
+         let v = Explore.run ~cpus:3 ~seeds scenario in
+         [
+           name;
+           i v.Explore.seeds_run;
+           i v.Explore.completed;
+           i (v.Explore.sleep_deadlocks + v.Explore.spin_deadlocks);
+         ])
+       variants)
 
 (* ================================================================== *)
 (* N0: native per-operation costs (Bechamel, real multicore hardware)  *)
@@ -82,28 +97,14 @@ end
 (* ================================================================== *)
 
 module E1 = struct
-  (* Workers contend for one lock; the critical section updates shared
-     kernel data (so spin bus traffic delays useful work).  [cap]
-    overrides the ttas-backoff delay ceiling (default 1024 cycles). *)
+  (* [cap] overrides the ttas-backoff delay ceiling (default 1024 cycles). *)
   let workload ?cap protocol cpus =
     let tweak cfg =
       match cap with
       | Some c -> { cfg with Config.spin_max_backoff = c }
       | None -> cfg
     in
-    sim_run ~cpus ~tweak (fun () ->
-        let lock = K.Slock.make ~name:"l" ~protocol () in
-        let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-        let worker () =
-          for _ = 1 to 30 do
-            K.Slock.lock lock;
-            Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-            Engine.cycles 20;
-            K.Slock.unlock lock
-          done
-        in
-        let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-        List.iter Engine.join ts)
+    sim_run ~cpus ~tweak (Workloads.contention ~name:"l" ~protocol ~iters:30)
 
   let tuned_cap = 128
 
@@ -112,38 +113,20 @@ module E1 = struct
       ~claim:
         "test-and-test-and-set avoids cache misses while spinning; plain \
          test-and-set wastes bus bandwidth and slows everyone down (s.2)";
-    let row ?cap name p cpus =
-      let s = workload ?cap p cpus in
-      [
-        i cpus;
-        name;
-        i s.Engine.makespan;
-        i s.Engine.bus_transactions;
-        i s.Engine.atomic_ops;
-        i s.Engine.cache_misses;
-      ]
+    let variants =
+      List.map (fun p -> (Spin.protocol_name p, (None, p))) Spin.all_protocols
+      @ [
+          (* Backoff cap tuned to the workload: at 128 cycles — a
+             fraction of the ~500-cycle lock hold — waiters re-probe a
+             few times per hold instead of sleeping through whole
+             release windows as the generic 1024-cycle cap does. *)
+          ( Printf.sprintf "ttas-backoff(cap=%d)" tuned_cap,
+            (Some tuned_cap, Spin.Ttas_backoff) );
+        ]
     in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun p -> row (Spin.protocol_name p) p cpus)
-            Spin.all_protocols
-          @ [
-              (* Backoff cap tuned to the workload: at 128 cycles — a
-                 fraction of the ~500-cycle lock hold — waiters re-probe
-                 a few times per hold instead of sleeping through whole
-                 release windows as the generic 1024-cycle cap does. *)
-              row ~cap:tuned_cap
-                (Printf.sprintf "ttas-backoff(cap=%d)" tuned_cap)
-                Spin.Ttas_backoff cpus;
-            ])
-        cpu_sweep
-    in
-    table
-      ~header:
-        [ "cpus"; "protocol"; "makespan"; "bus-txns"; "atomics"; "misses" ]
-      rows
+    print
+      (point_cols "protocol" @ [ misses_col ])
+      (sweep_points cpu_sweep variants (fun (cap, p) -> workload ?cap p))
 end
 
 (* ================================================================== *)
@@ -166,8 +149,7 @@ module E2 = struct
               Engine.pause ()
             done
           in
-          let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-          List.iter Engine.join ts;
+          spawn_join cpus (fun _ -> worker);
           stats := Some (K.Slock.stats lock))
     in
     (s, Option.get !stats)
@@ -178,20 +160,15 @@ module E2 = struct
         "most locks in a well designed system are acquired on the first \
          attempt, so try the atomic instruction first (tas+ttas) (s.2)";
     let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun p ->
-              let s, st = workload p cpus in
-              [
-                i cpus;
-                Spin.protocol_name p;
-                i s.Engine.makespan;
-                f2 (Stats.first_attempt_rate st);
-                i (Stats.total_spins st);
-              ])
-            Spin.all_protocols)
-        [ 2; 8 ]
+      grid [ 2; 8 ] Spin.all_protocols (fun cpus p ->
+          let s, st = workload p cpus in
+          [
+            i cpus;
+            Spin.protocol_name p;
+            i s.Engine.makespan;
+            f2 (Stats.first_attempt_rate st);
+            i (Stats.total_spins st);
+          ])
     in
     table
       ~header:[ "cpus"; "protocol"; "makespan"; "first-attempt"; "spins" ]
@@ -210,28 +187,25 @@ module E3 = struct
          itself; locking code (one big lock / master processor) restricts \
          the kernel to one processor and bottlenecks (s.2, s.5)";
     let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun g ->
-              let ops = cpus * 30 in
-              let s =
-                sim_run ~cpus (fun () ->
-                    Scenarios.object_ops_workload g ~objects:16 ~workers:cpus
-                      ~ops_per_worker:30)
-              in
-              let throughput =
-                float_of_int ops *. 1000. /. float_of_int s.Engine.makespan
-              in
-              [
-                i cpus;
-                Scenarios.granularity_name g;
-                i ops;
-                i s.Engine.makespan;
-                f2 throughput;
-              ])
-            [ Scenarios.Coarse; Scenarios.Fine; Scenarios.Master_funnel ])
-        cpu_sweep
+      grid cpu_sweep
+        [ Scenarios.Coarse; Scenarios.Fine; Scenarios.Master_funnel ]
+        (fun cpus g ->
+          let ops = cpus * 30 in
+          let s =
+            sim_run ~cpus (fun () ->
+                Scenarios.object_ops_workload g ~objects:16 ~workers:cpus
+                  ~ops_per_worker:30)
+          in
+          let throughput =
+            float_of_int ops *. 1000. /. float_of_int s.Engine.makespan
+          in
+          [
+            i cpus;
+            Scenarios.granularity_name g;
+            i ops;
+            i s.Engine.makespan;
+            f2 throughput;
+          ])
     in
     table
       ~header:[ "cpus"; "granularity"; "total-ops"; "makespan"; "ops/kcycle" ]
@@ -266,8 +240,7 @@ module E4 = struct
               end
             done
           in
-          let ts = List.init cpus (fun w -> Engine.spawn (worker w)) in
-          List.iter Engine.join ts)
+          spawn_join cpus worker)
     in
     (s, !max_writer_wait)
 
@@ -278,19 +251,14 @@ module E4 = struct
          guaranteeing the lock drains to the writer (no starvation) (s.4); \
          ablation: without priority, writer waits explode under read load";
     let rows =
-      List.concat_map
-        (fun write_pct ->
-          List.map
-            (fun priority ->
-              let s, wmax = workload ~priority ~write_pct 8 in
-              [
-                i write_pct;
-                (if priority then "yes" else "no (ablation)");
-                i s.Engine.makespan;
-                i wmax;
-              ])
-            [ true; false ])
-        [ 2; 10; 30 ]
+      grid [ 2; 10; 30 ] [ true; false ] (fun write_pct priority ->
+          let s, wmax = workload ~priority ~write_pct 8 in
+          [
+            i write_pct;
+            (if priority then "yes" else "no (ablation)");
+            i s.Engine.makespan;
+            i wmax;
+          ])
     in
     table
       ~header:[ "write%"; "writers-priority"; "makespan"; "max-writer-wait" ]
@@ -340,8 +308,7 @@ module E5 = struct
               end
             done
           in
-          let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-          List.iter Engine.join ts)
+          spawn_join cpus (fun _ -> worker))
     in
     (s, !failed)
 
@@ -352,19 +319,14 @@ module E5 = struct
          forcing recovery); locking for write and downgrading cannot fail \
          and is the simpler, preferred alternative (s.7.1)";
     let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun use_upgrade ->
-              let s, failed = workload ~use_upgrade cpus in
-              [
-                i cpus;
-                (if use_upgrade then "upgrade" else "write+downgrade");
-                i s.Engine.makespan;
-                i failed;
-              ])
-            [ true; false ])
-        [ 2; 4; 8 ]
+      grid [ 2; 4; 8 ] [ true; false ] (fun cpus use_upgrade ->
+          let s, failed = workload ~use_upgrade cpus in
+          [
+            i cpus;
+            (if use_upgrade then "upgrade" else "write+downgrade");
+            i s.Engine.makespan;
+            i failed;
+          ])
     in
     table ~header:[ "cpus"; "strategy"; "makespan"; "failed-upgrades" ] rows
 end
@@ -381,19 +343,16 @@ module E6 = struct
             let l = K.Clock.make ~can_sleep:true () in
             if recursive then begin
               K.Clock.lock_write l;
-              K.Clock.lock_set_recursive l;
-              for _ = 1 to 200 do
-                K.Clock.lock_write l;
-                K.Clock.lock_done l
-              done;
+              K.Clock.lock_set_recursive l
+            end;
+            for _ = 1 to 200 do
+              K.Clock.lock_write l;
+              K.Clock.lock_done l
+            done;
+            if recursive then begin
               K.Clock.lock_clear_recursive l;
               K.Clock.lock_done l
-            end
-            else
-              for _ = 1 to 200 do
-                K.Clock.lock_write l;
-                K.Clock.lock_done l
-              done)
+            end)
       in
       s.Engine.makespan / 200
     in
@@ -431,28 +390,10 @@ module E6 = struct
          removes them (s.4, s.7.1)";
     table ~header:[ "operation"; "cycles/op" ] (overhead ());
     printf "\nvm_map_pageable under memory pressure, 30 schedules each:\n";
-    let verdict ~use_recursive =
-      Explore.run ~cpus:3
-        ~seeds:(List.init 30 (fun s -> s + 1))
-        (pageable_scenario ~use_recursive)
-    in
-    let vr = verdict ~use_recursive:true in
-    let vw = verdict ~use_recursive:false in
-    table
-      ~header:[ "implementation"; "schedules"; "completed"; "deadlocked" ]
+    verdict_table "implementation" ~seeds:30
       [
-        [
-          "recursive (paper's original)";
-          i vr.Explore.seeds_run;
-          i vr.Explore.completed;
-          i (vr.Explore.sleep_deadlocks + vr.Explore.spin_deadlocks);
-        ];
-        [
-          "rewritten (Mach 3.0, s.7.1)";
-          i vw.Explore.seeds_run;
-          i vw.Explore.completed;
-          i (vw.Explore.sleep_deadlocks + vw.Explore.spin_deadlocks);
-        ];
+        ("recursive (paper's original)", pageable_scenario ~use_recursive:true);
+        ("rewritten (Mach 3.0, s.7.1)", pageable_scenario ~use_recursive:false);
       ]
 end
 
@@ -539,15 +480,11 @@ module E8 = struct
     let s =
       sim_run ~cpus (fun () ->
           let r = K.Ref.make () in
-          let ts =
-            List.init cpus (fun _ ->
-                Engine.spawn (fun () ->
-                    for _ = 1 to ops do
-                      K.Ref.clone r;
-                      ignore (K.Ref.release r)
-                    done))
-          in
-          List.iter Engine.join ts)
+          spawn_join cpus (fun _ () ->
+              for _ = 1 to ops do
+                K.Ref.clone r;
+                ignore (K.Ref.release r)
+              done))
     in
     s.Engine.makespan / ops
 
@@ -568,14 +505,16 @@ end
 (* ================================================================== *)
 
 module E9 = struct
+  (* Boot a kernel, run [clients] x [calls_each] null RPCs, shut down
+     (also E18's rpc workload). *)
+  let null_rpc ~pages ~clients ~calls_each () =
+    let kernel = Kernel.start ~pages () in
+    Scenarios.null_rpc_workload kernel ~clients ~calls_each;
+    Kernel.shutdown kernel
+
   let rpc_sweep clients =
     let calls = 20 in
-    let s =
-      sim_run ~cpus:8 (fun () ->
-          let kernel = Kernel.start ~pages:32 () in
-          Scenarios.null_rpc_workload kernel ~clients ~calls_each:calls;
-          Kernel.shutdown kernel)
-    in
+    let s = sim_run ~cpus:8 (null_rpc ~pages:32 ~clients ~calls_each:calls) in
     (s.Engine.makespan, s.Engine.makespan / (clients * calls))
 
   let run () =
@@ -669,27 +608,12 @@ module E11 = struct
          with interrupts disabled on another while a third starts barrier \
          synchronization, the system deadlocks; acquiring every lock at \
          the same interrupt priority prevents it (s.7)";
-    let verdict disciplined =
-      Explore.run ~cpus:3
-        ~seeds:(List.init 50 (fun s -> s + 1))
-        (Scenarios.interrupt_barrier_scenario ~disciplined)
-    in
-    let vb = verdict false and vd = verdict true in
-    table
-      ~header:[ "variant"; "schedules"; "completed"; "deadlocked" ]
+    verdict_table "variant" ~seeds:50
       [
-        [
-          "inconsistent spl (buggy)";
-          i vb.Explore.seeds_run;
-          i vb.Explore.completed;
-          i (vb.Explore.sleep_deadlocks + vb.Explore.spin_deadlocks);
-        ];
-        [
-          "same-spl rule (disciplined)";
-          i vd.Explore.seeds_run;
-          i vd.Explore.completed;
-          i (vd.Explore.sleep_deadlocks + vd.Explore.spin_deadlocks);
-        ];
+        ( "inconsistent spl (buggy)",
+          Scenarios.interrupt_barrier_scenario ~disciplined:false );
+        ( "same-spl rule (disciplined)",
+          Scenarios.interrupt_barrier_scenario ~disciplined:true );
       ]
 end
 
@@ -763,11 +687,7 @@ module E12 = struct
               Engine.cycles 100
             done
           in
-          let ts =
-            List.init cpus (fun k ->
-                Engine.spawn (if k mod 4 = 0 then reverse else forward))
-          in
-          List.iter Engine.join ts)
+          spawn_join cpus (fun k -> if k mod 4 = 0 then reverse else forward))
     in
     (s, !retries)
 
@@ -778,14 +698,11 @@ module E12 = struct
          and pv-then-pmap orders; the backout protocol is the lighter \
          alternative that pays retries instead of a global read lock (s.5)";
     let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, strategy) ->
-              let s, retries = workload strategy cpus in
-              [ i cpus; name; i s.Engine.makespan; i retries ])
-            [ ("arbiter (pmap system lock)", `Arbiter); ("backout", `Backout) ])
-        [ 4; 8; 16 ]
+      grid [ 4; 8; 16 ]
+        [ ("arbiter (pmap system lock)", `Arbiter); ("backout", `Backout) ]
+        (fun cpus (name, strategy) ->
+          let s, retries = workload strategy cpus in
+          [ i cpus; name; i s.Engine.makespan; i retries ])
     in
     table ~header:[ "cpus"; "strategy"; "makespan"; "backout-retries" ] rows
 end
@@ -803,29 +720,24 @@ module X1 = struct
     let ticks = 200 in
     let s =
       sim_run ~cpus:2 (fun () ->
-          if locked then begin
-            let l = K.Slock.make ~name:"timer-lock" () in
-            let total = ref 0 in
-            let owner =
-              Engine.spawn ~bound:0 (fun () ->
-                  for _ = 1 to ticks do
-                    K.Slock.lock l;
-                    total := !total + 700;
-                    K.Slock.unlock l
-                  done)
-            in
-            Engine.join owner
-          end
-          else begin
-            let t = Timer.create ~owner_cpu:0 () in
-            let owner =
-              Engine.spawn ~bound:0 (fun () ->
-                  for _ = 1 to ticks do
-                    Timer.tick t ~cycles:700
-                  done)
-            in
-            Engine.join owner
-          end)
+          let tick =
+            if locked then begin
+              let l = K.Slock.make ~name:"timer-lock" () in
+              let total = ref 0 in
+              fun () ->
+                K.Slock.lock l;
+                total := !total + 700;
+                K.Slock.unlock l
+            end
+            else
+              let t = Timer.create ~owner_cpu:0 () in
+              fun () -> Timer.tick t ~cycles:700
+          in
+          Engine.join
+            (Engine.spawn ~bound:0 (fun () ->
+                 for _ = 1 to ticks do
+                   tick ()
+                 done)))
     in
     s.Engine.makespan / ticks
 
@@ -900,6 +812,25 @@ module E13 = struct
     | [] -> "-"
     | ds -> String.concat "+" ds
 
+  let first_seed (s : Chaos.sweep) =
+    match s.Chaos.first_failure with Some r -> r.Chaos.seed | None -> 0
+
+  let cols =
+    Bench_rows.
+      [
+        col "scenario" ~key:"scenario" (fun (sname, _, _) -> J.String sname);
+        col "fault class" ~key:"fault" (fun (_, cls, _) ->
+            J.String (Fault.name cls));
+        col "runs" ~key:"runs" (fun (_, _, s) -> J.Int s.Chaos.runs);
+        col "detection rate" ~key:"detection_rate" (fun (_, _, s) ->
+            J.Float (Chaos.detection_rate s));
+        col "detected by" ~key:"detected_by" (fun (_, _, s) ->
+            J.String (detected_by s));
+        col "first seed" ~key:"seeds_to_first_detection"
+          ~show:(function J.Int 0 -> "-" | v -> cell v)
+          (fun (_, _, s) -> J.Int (first_seed s));
+      ]
+
   let run () =
     section ~id:"E13"
       ~title:"chaos fault injection: detection rate per fault class"
@@ -908,62 +839,17 @@ module E13 = struct
          interrupts, schedule perturbation, forced preemption) drives the \
          hazards of sections 6-7 out of hiding, and the waits-for \
          detector names the cycle or the orphaned waiter";
-    let rows = ref [] and json = ref [] in
-    List.iter
-      (fun (sname, scenario) ->
-        List.iter
-          (fun cls ->
-            let s =
-              Chaos.sweep ~cpus:4 ~seeds
-                ~faults:(Fault.mix ~intensity:2 [ cls ])
-                scenario
-            in
-            let first =
-              match s.Chaos.first_failure with
-              | Some r -> r.Chaos.seed
-              | None -> 0
-            in
-            rows :=
-              [
-                sname;
-                Fault.name cls;
-                i s.Chaos.runs;
-                f2 (Chaos.detection_rate s);
-                detected_by s;
-                (if first = 0 then "-" else i first);
-              ]
-              :: !rows;
-            json :=
-              Obs_json.Obj
-                [
-                  ("scenario", Obs_json.String sname);
-                  ("fault", Obs_json.String (Fault.name cls));
-                  ("runs", Obs_json.Int s.Chaos.runs);
-                  ("detection_rate", Obs_json.Float (Chaos.detection_rate s));
-                  ("detected_by", Obs_json.String (detected_by s));
-                  ("seeds_to_first_detection", Obs_json.Int first);
-                ]
-              :: !json)
-          Fault.all)
-      Cs.all;
-    table
-      ~header:
-        [
-          "scenario";
-          "fault class";
-          "runs";
-          "detection rate";
-          "detected by";
-          "first seed";
-        ]
-      (List.rev !rows);
-    let out = "BENCH_chaos.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string (Obs_json.Obj [ ("E13", Obs_json.List (List.rev !json)) ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\ndetection table written to %s\n" out
+    let rows =
+      grid Cs.all Fault.all (fun (sname, scenario) cls ->
+          ( sname,
+            cls,
+            Chaos.sweep ~cpus:4 ~seeds
+              ~faults:(Fault.mix ~intensity:2 [ cls ])
+              scenario ))
+    in
+    print cols rows;
+    write_json ~what:"detection table" "BENCH_chaos.json"
+      (J.Obj [ ("E13", Bench_rows.to_json cols rows) ])
 end
 
 (* ================================================================== *)
@@ -1007,11 +893,6 @@ module E14 = struct
         Scenarios.interrupt_barrier_scenario ~disciplined:true
     | s -> failwith ("unknown mc scenario " ^ s)
 
-  let mode_name = function
-    | Mc.Naive -> "naive"
-    | Mc.Sleep_sets -> "sleep"
-    | Mc.Dpor -> "dpor"
-
   let verdict_of (r : Mc.result) =
     if r.Mc.verified then "verified"
     else
@@ -1020,6 +901,41 @@ module E14 = struct
           Printf.sprintf "failure(%d transitions, %d preemptions)"
             (Array.length f.Mc.f_trace) f.Mc.f_preemptions
       | None -> "incomplete"
+
+  type row = {
+    sname : string;
+    cpus : int;
+    mode : Mc.mode;
+    bound : int option;
+    res : Mc.result;
+    ms : float;
+    ratio : float option;  (* DPOR executions over the naive count *)
+  }
+
+  let cols =
+    Bench_rows.
+      [
+        col "scenario" ~key:"scenario" (fun r -> J.String r.sname);
+        col "cpus" ~key:"cpus" (fun r -> J.Int r.cpus);
+        col "mode" ~key:"mode" (fun r -> J.String (Mc.mode_name r.mode));
+        col "bound" ~key:"bound"
+          ~show:(function J.Int b -> string_of_int b | _ -> "-")
+          (fun r ->
+            match r.bound with
+            | None -> J.String "unbounded"
+            | Some b -> J.Int b);
+        col "schedules" ~key:"executions" (fun r ->
+            J.Int r.res.Mc.stats.Mc.executions);
+        col "pruned" ~key:"pruned" (fun r -> J.Int r.res.Mc.stats.Mc.pruned);
+        json "transitions" (fun r -> J.Int r.res.Mc.stats.Mc.transitions);
+        json "complete" (fun r -> J.Bool r.res.Mc.complete);
+        col "vs naive" ~show:(fixed 4) (fun r ->
+            match r.ratio with Some x -> J.Float x | None -> J.Null);
+        col "verdict" ~key:"verdict" (fun r -> J.String (verdict_of r.res));
+        col "ms" ~key:"wall_ms" ~show:(fixed 1) (fun r -> J.Float r.ms);
+        json_opt "reduction_vs_naive" (fun r ->
+            Option.map (fun x -> J.Float x) r.ratio);
+      ]
 
   let run () =
     section ~id:"E14"
@@ -1030,86 +946,32 @@ module E14 = struct
          deadlocks are found without fault injection with minimal \
          replayable counterexamples, and DPOR makes exhaustive search \
          tractable where naive enumeration is not";
-    let rows = ref [] and json = ref [] in
     (* naive execution counts per (scenario, cpus), for reduction ratios *)
     let naive_execs = Hashtbl.create 8 in
-    List.iter
-      (fun (sname, cpus, mode, bound, max_executions) ->
-        let t0 = Unix.gettimeofday () in
-        let r =
-          Mc.check ~cpus ~mode ?bound ?max_executions (scenario_fn sname)
-        in
-        let ms = (Unix.gettimeofday () -. t0) *. 1000. in
-        let execs = r.Mc.stats.Mc.executions in
-        if mode = Mc.Naive && r.Mc.complete then
-          Hashtbl.replace naive_execs (sname, cpus) execs;
-        let ratio =
-          if mode = Mc.Dpor then
-            match Hashtbl.find_opt naive_execs (sname, cpus) with
-            | Some n when n > 0 -> Some (float_of_int execs /. float_of_int n)
-            | _ -> None
-          else None
-        in
-        let bound_s =
-          match bound with None -> "-" | Some b -> string_of_int b
-        in
-        rows :=
-          [
-            sname;
-            i cpus;
-            mode_name mode;
-            bound_s;
-            i execs;
-            i r.Mc.stats.Mc.pruned;
-            (match ratio with None -> "-" | Some x -> Printf.sprintf "%.4f" x);
-            verdict_of r;
-            f1 ms;
-          ]
-          :: !rows;
-        json :=
-          Obs_json.Obj
-            ([
-               ("scenario", Obs_json.String sname);
-               ("cpus", Obs_json.Int cpus);
-               ("mode", Obs_json.String (mode_name mode));
-               ( "bound",
-                 match bound with
-                 | None -> Obs_json.String "unbounded"
-                 | Some b -> Obs_json.Int b );
-               ("executions", Obs_json.Int execs);
-               ("pruned", Obs_json.Int r.Mc.stats.Mc.pruned);
-               ("transitions", Obs_json.Int r.Mc.stats.Mc.transitions);
-               ("complete", Obs_json.Bool r.Mc.complete);
-               ("verdict", Obs_json.String (verdict_of r));
-               ("wall_ms", Obs_json.Float ms);
-             ]
-            @ (match ratio with
-              | None -> []
-              | Some x -> [ ("reduction_vs_naive", Obs_json.Float x) ]))
-          :: !json)
-      cases;
-    table
-      ~header:
-        [
-          "scenario";
-          "cpus";
-          "mode";
-          "bound";
-          "schedules";
-          "pruned";
-          "vs naive";
-          "verdict";
-          "ms";
-        ]
-      (List.rev !rows);
-    let out = "BENCH_mc.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj [ ("E14", Obs_json.List (List.rev !json)) ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nexploration table written to %s\n" out
+    let rows =
+      List.map
+        (fun (sname, cpus, mode, bound, max_executions) ->
+          let res, secs =
+            wall (fun () ->
+                Mc.check ~cpus ~mode ?bound ?max_executions (scenario_fn sname))
+          in
+          let ms = secs *. 1000. in
+          let execs = res.Mc.stats.Mc.executions in
+          if mode = Mc.Naive && res.Mc.complete then
+            Hashtbl.replace naive_execs (sname, cpus) execs;
+          let ratio =
+            if mode = Mc.Dpor then
+              match Hashtbl.find_opt naive_execs (sname, cpus) with
+              | Some n when n > 0 -> Some (float_of_int execs /. float_of_int n)
+              | _ -> None
+            else None
+          in
+          { sname; cpus; mode; bound; res; ms; ratio })
+        cases
+    in
+    print cols rows;
+    write_json ~what:"exploration table" "BENCH_mc.json"
+      (J.Obj [ ("E14", Bench_rows.to_json cols rows) ])
 end
 
 (* ================================================================== *)
@@ -1126,31 +988,14 @@ module E15 = struct
   let sweep = [ 2; 8; 16; 32; 64 ]
   let iters = 12
 
-  let mutex_workload mk cpus =
-    sim_run ~cpus (fun () ->
-        let lock = mk () in
-        let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-        let worker () =
-          for _ = 1 to iters do
-            K.Slock.lock lock;
-            Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-            Engine.cycles 20;
-            K.Slock.unlock lock
-          done
-        in
-        let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-        List.iter Engine.join ts)
-
   let protos =
     List.map
-      (fun p ->
-        ( Spin.protocol_name p,
-          fun () -> K.Slock.make ~name:"l" ~protocol:p () ))
+      (fun p -> (Spin.protocol_name p, (Some p, None)))
       Spin.all_protocols
-    @ List.map
-        (fun f ->
-          (Lock_proto.name f, fun () -> K.Slock.make ~name:"l" ~proto:f ()))
-        K.Locks.all
+    @ List.map (fun f -> (Lock_proto.name f, (None, Some f))) K.Locks.all
+
+  let mutex_workload (protocol, proto) cpus =
+    sim_run ~cpus (Workloads.contention ?protocol ?proto ~name:"l" ~iters)
 
   (* Read-mostly workload (~5% writes): big-reader lock vs the complex
      readers/writer lock vs a plain ttas mutex. *)
@@ -1169,6 +1014,12 @@ module E15 = struct
             if (op + w) mod rw_ops = 0 then do_write () else do_read ()
           done
         in
+        (* lock, access, unlock on each side *)
+        let locked ~rd ~wr ~unlock =
+          run_ops
+            (fun () -> rd (); read (); unlock ())
+            (fun () -> wr (); write (); unlock ())
+        in
         let worker =
           match impl with
           | `Brlock ->
@@ -1178,29 +1029,24 @@ module E15 = struct
                 (fun () -> K.Locks.Brlock.with_write l write)
           | `Clock ->
               let l = K.Clock.make ~name:"rw" ~can_sleep:false () in
-              run_ops
-                (fun () ->
-                  K.Clock.lock_read l;
-                  read ();
-                  K.Clock.lock_done l)
-                (fun () ->
-                  K.Clock.lock_write l;
-                  write ();
-                  K.Clock.lock_done l)
+              locked
+                ~rd:(fun () -> K.Clock.lock_read l)
+                ~wr:(fun () -> K.Clock.lock_write l)
+                ~unlock:(fun () -> K.Clock.lock_done l)
           | `Ttas ->
               let l = K.Slock.make ~name:"m" ~protocol:Spin.Ttas () in
-              run_ops
-                (fun () ->
-                  K.Slock.lock l;
-                  read ();
-                  K.Slock.unlock l)
-                (fun () ->
-                  K.Slock.lock l;
-                  write ();
-                  K.Slock.unlock l)
+              let lock () = K.Slock.lock l in
+              locked ~rd:lock ~wr:lock ~unlock:(fun () -> K.Slock.unlock l)
         in
-        let ts = List.init cpus (fun w -> Engine.spawn (worker w)) in
-        List.iter Engine.join ts)
+        spawn_join cpus worker)
+
+  let crossover_cols =
+    Bench_rows.
+      [
+        col "protocol" ~key:"protocol" (fun (n, _) -> J.String n);
+        json "vs" (fun _ -> J.String "ttas");
+        col "crossover-cpus" ~key:"crossover_cpus" (fun (_, c) -> opt_int c);
+      ]
 
   let run () =
     section ~id:"E15" ~title:"queue locks at scale: the ttas crossover"
@@ -1211,167 +1057,98 @@ module E15 = struct
          crossover cpu count they beat ttas on both bus traffic and \
          makespan; a big-reader lock makes read-mostly data near-free to \
          read (s.2)";
-    let tbl = Hashtbl.create 64 in
-    let mutex_rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, mk) ->
-              let s = mutex_workload mk cpus in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-                i s.Engine.cache_misses;
-              ])
-            protos)
-        sweep
-    in
-    table
-      ~header:
-        [ "cpus"; "protocol"; "makespan"; "bus-txns"; "atomics"; "misses" ]
-      mutex_rows;
+    let mutex_cols = point_cols "protocol" @ [ misses_col ] in
+    let mutex = sweep_points sweep protos mutex_workload in
+    print mutex_cols mutex;
     (* Crossover: smallest cpu count at which a queue protocol beats ttas
        on makespan AND bus traffic, and stays ahead for the rest of the
        sweep. *)
+    let stats name cpus =
+      (List.find (fun p -> p.name = name && p.cpus = cpus) mutex).s
+    in
     let beats name cpus =
-      let s = Hashtbl.find tbl (name, cpus) in
-      let t = Hashtbl.find tbl ("ttas", cpus) in
+      let s = stats name cpus and t = stats "ttas" cpus in
       s.Engine.makespan < t.Engine.makespan
       && s.Engine.bus_transactions < t.Engine.bus_transactions
     in
-    let crossover name =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats name c && List.for_all (beats name) rest then Some c
-            else scan rest
-      in
-      scan sweep
-    in
-    let queue_names = List.map Lock_proto.name K.Locks.all in
-    printf "\ncrossover vs ttas (beats on makespan AND bus-txns from here up):\n";
-    table
-      ~header:[ "protocol"; "crossover-cpus" ]
-      (List.map
-         (fun n ->
-           [ n; (match crossover n with None -> "-" | Some c -> i c) ])
-         queue_names);
-    printf "\nread-mostly (%d%% writes):\n" (100 / rw_ops);
-    let rw_rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, impl) ->
-              let s = read_mostly impl cpus in
-              Hashtbl.replace tbl ("rw:" ^ name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            [
-              ("brlock", `Brlock);
-              ("complex-rw", `Clock);
-              ("ttas-mutex", `Ttas);
-            ])
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "impl"; "makespan"; "bus-txns"; "atomics" ]
-      rw_rows;
-    (* JSON export mirroring the printed tables, for the CI artifact. *)
-    let stats_fields (s : Engine.stats) =
-      [
-        ("makespan", Obs_json.Int s.Engine.makespan);
-        ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-        ("atomics", Obs_json.Int s.Engine.atomic_ops);
-        ("misses", Obs_json.Int s.Engine.cache_misses);
-      ]
-    in
-    let mutex_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun (name, _) ->
-              Obs_json.Obj
-                (( "protocol", Obs_json.String name )
-                 :: ("cpus", Obs_json.Int cpus)
-                 :: stats_fields (Hashtbl.find tbl (name, cpus))))
-            protos)
-        sweep
-    in
-    let rw_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun name ->
-              Obs_json.Obj
-                (( "impl", Obs_json.String name )
-                 :: ("cpus", Obs_json.Int cpus)
-                 :: stats_fields (Hashtbl.find tbl ("rw:" ^ name, cpus))))
-            [ "brlock"; "complex-rw"; "ttas-mutex" ])
-        sweep
-    in
-    let crossover_json =
+    let crossovers =
       List.map
-        (fun n ->
-          Obs_json.Obj
-            [
-              ("protocol", Obs_json.String n);
-              ("vs", Obs_json.String "ttas");
-              ( "crossover_cpus",
-                match crossover n with
-                | None -> Obs_json.Null
-                | Some c -> Obs_json.Int c );
-            ])
-        queue_names
+        (fun f ->
+          let n = Lock_proto.name f in
+          (n, crossover (beats n) sweep))
+        K.Locks.all
     in
-    let out = "BENCH_locks.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E15",
-                Obs_json.Obj
-                  [
-                    ("mutex", Obs_json.List mutex_json);
-                    ("read_mostly", Obs_json.List rw_json);
-                    ("crossover", Obs_json.List crossover_json);
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nlock-suite tables written to %s\n" out
+    printf "\ncrossover vs ttas (beats on makespan AND bus-txns from here up):\n";
+    print crossover_cols crossovers;
+    printf "\nread-mostly (%d%% writes):\n" (100 / rw_ops);
+    let rw_cols =
+      point_cols "impl"
+      @ [ Bench_rows.json "misses" (fun p -> J.Int p.s.Engine.cache_misses) ]
+    in
+    let rw =
+      sweep_points sweep
+        [ ("brlock", `Brlock); ("complex-rw", `Clock); ("ttas-mutex", `Ttas) ]
+        read_mostly
+    in
+    print rw_cols rw;
+    write_json ~what:"lock-suite tables" "BENCH_locks.json"
+      (J.Obj
+         [
+           ( "E15",
+             J.Obj
+               [
+                 ("mutex", Bench_rows.to_json mutex_cols mutex);
+                 ("read_mostly", Bench_rows.to_json rw_cols rw);
+                 ("crossover", Bench_rows.to_json crossover_cols crossovers);
+               ] );
+         ])
 end
 
 (* ================================================================== *)
-(* E16: range locks over the VM map: fault storms at scale              *)
+(* E16, E19: a storm swept over cpus under each locking discipline     *)
 (* ================================================================== *)
 
+(* The storm runs at every cpu count under each discipline; the tables
+   give each candidate's makespan speedup over [base] and the cpu count
+   from which [winner] stays ahead of it ([loser] names [base] in that
+   line). *)
+let storm ~id ~file ~what ~disciplines ~title ~base ~over ~winner ~loser run =
+  let sweep = [ 2; 8; 16; 32; 64 ] in
+  let cols = point_cols "locking" in
+  let points = sweep_points sweep disciplines run in
+  print cols points;
+  let makespan = makespan_of points in
+  let speedups = speedup_cols makespan ~base over in
+  printf "\n%s:\n" title;
+  print speedups sweep;
+  let crossover =
+    crossover
+      (fun c ->
+        match speedup makespan ~base winner c with
+        | Some x -> x > 1.0
+        | None -> false)
+      sweep
+  in
+  (match crossover with
+  | Some c -> printf "%s beats %s from %d cpus up\n" winner loser c
+  | None -> printf "%s never beats %s in this sweep\n" winner loser);
+  write_json ~what file
+    (J.Obj
+       [
+         ( id,
+           J.Obj
+             [
+               ("storm", Bench_rows.to_json cols points);
+               ("speedup", Bench_rows.to_json speedups sweep);
+               ("crossover_cpus", opt_int crossover);
+             ] );
+       ])
+
+(* E16: range locks over the VM map.  Under the coarse discipline every
+   operation of the fault storm takes the one map lock, so it serializes
+   no matter how disjoint the addresses; under range locking only
+   overlapping requests conflict. *)
 module E16 = struct
-  (* Each thread owns a disjoint slice of one map and repeatedly
-     allocates, faults and deallocates it (Scenarios.vm_fault_storm).
-     Under the coarse discipline every operation takes the one map lock,
-     so the storm serializes no matter how disjoint the addresses; under
-     range locking only overlapping requests conflict.  The workload is
-     deliberately light per thread (the 64-cpu coarse row is quadratic
-     in waiters) so the sweep stays in smoke-test range. *)
-  let sweep = [ 2; 8; 16; 32; 64 ]
-  let pages_per_thread = 2
-  let rounds = 1
-
-  let storm locking cpus =
-    sim_run ~cpus (fun () ->
-        Scenarios.vm_fault_storm ~locking ~threads:cpus ~pages_per_thread
-          ~rounds ())
-
   let run () =
     section ~id:"E16" ~title:"range locks over the VM map: fault storms"
       ~claim:
@@ -1380,100 +1157,15 @@ module E16 = struct
          list-based range lock admits all non-overlapping operations at \
          once, so a many-thread fault storm across a large address space \
          scales with cpus instead of collapsing onto the one lock (s.4)";
-    let tbl = Hashtbl.create 16 in
-    let disciplines = [ Vm.Vm_map.Coarse; Vm.Vm_map.Range ] in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let s = storm locking cpus in
-              let name = Vm.Vm_map.locking_name locking in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            disciplines)
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "locking"; "makespan"; "bus-txns"; "atomics" ]
-      rows;
-    let speedup cpus =
-      let c = Hashtbl.find tbl ("coarse", cpus) in
-      let r = Hashtbl.find tbl ("range", cpus) in
-      float_of_int c.Engine.makespan /. float_of_int r.Engine.makespan
-    in
-    printf "\nrange-lock speedup over the coarse map lock (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "coarse/range" ]
-      (List.map (fun c -> [ i c; f2 (speedup c) ]) sweep);
-    (* Crossover: smallest cpu count at which the range-locked map beats
-       the coarse one and stays ahead for the rest of the sweep. *)
-    let beats c = speedup c > 1.0 in
-    let crossover =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats c && List.for_all beats rest then Some c else scan rest
-      in
-      scan sweep
-    in
-    (match crossover with
-    | Some c -> printf "range beats coarse from %d cpus up\n" c
-    | None -> printf "range never beats coarse in this sweep\n");
-    let storm_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let name = Vm.Vm_map.locking_name locking in
-              let s = Hashtbl.find tbl (name, cpus) in
-              Obs_json.Obj
-                [
-                  ("locking", Obs_json.String name);
-                  ("cpus", Obs_json.Int cpus);
-                  ("makespan", Obs_json.Int s.Engine.makespan);
-                  ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-                  ("atomics", Obs_json.Int s.Engine.atomic_ops);
-                ])
-            disciplines)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("range_speedup", Obs_json.Float (speedup c));
-            ])
-        sweep
-    in
-    let out = "BENCH_vm.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E16",
-                Obs_json.Obj
-                  [
-                    ("storm", Obs_json.List storm_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "crossover_cpus",
-                      match crossover with
-                      | None -> Obs_json.Null
-                      | Some c -> Obs_json.Int c );
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nvm-map tables written to %s\n" out
+    storm ~id:"E16" ~file:"BENCH_vm.json" ~what:"vm-map tables"
+      ~disciplines:
+        (List.map
+           (fun l -> (Vm.Vm_map.locking_name l, l))
+           [ Vm.Vm_map.Coarse; Vm.Vm_map.Range ])
+      ~title:"range-lock speedup over the coarse map lock (makespan ratio)"
+      ~base:"coarse"
+      ~over:[ ("range", "coarse/range", "range_speedup") ]
+      ~winner:"range" ~loser:"coarse" Workloads.vm_storm
 end
 
 (* ================================================================== *)
@@ -1490,23 +1182,7 @@ module E18 = struct
      (event-wait spans), and E15's 64-cpu ttas point (the scale the
      acceptance run uses). *)
   let ttas_hammer ~iters () =
-    let lock = K.Slock.make ~name:"contended" ~protocol:Spin.Ttas () in
-    let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-    let ts =
-      List.init
-        (Engine.cpu_count ())
-        (fun _ ->
-          Engine.spawn (fun () ->
-              for _ = 1 to iters do
-                K.Slock.lock lock;
-                Array.iter
-                  (fun d -> ignore (Engine.Cell.fetch_and_add d 1))
-                  data;
-                Engine.cycles 20;
-                K.Slock.unlock lock
-              done))
-    in
-    List.iter Engine.join ts
+    Workloads.contention ~protocol:Spin.Ttas ~name:"contended" ~iters ()
 
   (* The handoff row runs under the random policy (as E13's chaos sweeps
      do): under Timed the consumer is dispatched after the producer's
@@ -1515,17 +1191,12 @@ module E18 = struct
   let timed = Fun.id
   let random cfg = { cfg with Config.policy = Config.Random_policy; seed = 1 }
 
-  let rpc () =
-    let kernel = Kernel.start ~pages:64 () in
-    Scenarios.null_rpc_workload kernel ~clients:4 ~calls_each:10;
-    Kernel.shutdown kernel
-
   let workloads =
     [
       ("e1-ttas-16cpu", 16, timed, ttas_hammer ~iters:30);
       ("e13-handoff-4cpu", 4, random, Cs.lost_wakeup_handoff);
       ("e15-ttas-64cpu", 64, timed, ttas_hammer ~iters:12);
-      ("rpc-4cpu", 4, timed, rpc);
+      ("rpc-4cpu", 4, timed, E9.null_rpc ~pages:64 ~clients:4 ~calls_each:10);
     ]
 
   let run () =
@@ -1536,72 +1207,58 @@ module E18 = struct
          on the makespan's path) and E13's handoff latency (event waits) \
          without perturbing the schedule — spans on is byte-identical to \
          spans off";
-    let rows = ref [] in
-    List.iter
-      (fun (wname, cpus, policy_tweak, workload) ->
-        let stats =
-          sim_run ~cpus
-            ~tweak:(fun cfg ->
-              policy_tweak
-                { cfg with Config.trace = true; track_waits = true })
-            workload
-        in
-        let view =
-          match Obs_span.last () with
-          | Some v -> v
-          | None -> Obs_span.empty_view
-        in
-        let evs =
-          List.map
-            (fun (e : Mach_sim.Sim_trace.event) ->
-              {
-                Obs_cp.cp_clock = e.Mach_sim.Sim_trace.clock;
-                cp_ev = e.Mach_sim.Sim_trace.ev;
-              })
-            (Engine.trace_events ())
-        in
-        let cp = Obs_cp.compute ~makespan:stats.Engine.makespan evs in
-        let dom_cls, dom_frac =
-          match Obs_cp.dominant cp with
-          | Some a -> (a.Obs_cp.cls, a.Obs_cp.fraction)
-          | None -> ("-", 0.)
-        in
-        let spans_closed =
-          List.fold_left
-            (fun acc (s : Obs_span.site) -> acc + s.Obs_span.s_spans)
-            0 view.Obs_span.v_sites
-        in
-        let blocked =
-          List.fold_left
-            (fun acc (s : Obs_span.site) -> acc + s.Obs_span.s_blocked)
-            0 view.Obs_span.v_sites
-        in
-        let flight_spans =
-          List.fold_left
-            (fun acc (_, l) -> acc + List.length l)
-            0 view.Obs_span.v_flight
-        in
-        rows :=
+    let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l in
+    let rows =
+      List.map
+        (fun (wname, cpus, policy_tweak, workload) ->
+          let stats =
+            sim_run ~cpus
+              ~tweak:(fun cfg ->
+                policy_tweak
+                  { cfg with Config.trace = true; track_waits = true })
+              workload
+          in
+          let view =
+            match Obs_span.last () with
+            | Some v -> v
+            | None -> Obs_span.empty_view
+          in
+          let evs =
+            List.map
+              (fun (e : Mach_sim.Sim_trace.event) ->
+                {
+                  Obs_cp.cp_clock = e.Mach_sim.Sim_trace.clock;
+                  cp_ev = e.Mach_sim.Sim_trace.ev;
+                })
+              (Engine.trace_events ())
+          in
+          let cp = Obs_cp.compute ~makespan:stats.Engine.makespan evs in
+          let dom_cls, dom_frac =
+            match Obs_cp.dominant cp with
+            | Some a -> (a.Obs_cp.cls, a.Obs_cp.fraction)
+            | None -> ("-", 0.)
+          in
+          let sites = view.Obs_span.v_sites in
+          obs_add_json wname
+            (J.Obj
+               [
+                 ("cpus", J.Int cpus);
+                 ("makespan", J.Int stats.Engine.makespan);
+                 ("spans", Obs_span.to_json view);
+                 ("critical_path", Obs_cp.to_json cp);
+               ]);
           [
             wname;
             i cpus;
-            i spans_closed;
-            i blocked;
+            i (sum (fun (s : Obs_span.site) -> s.Obs_span.s_spans) sites);
+            i (sum (fun (s : Obs_span.site) -> s.Obs_span.s_blocked) sites);
             dom_cls;
             f2 dom_frac;
             f2 cp.Obs_cp.residual;
-            i flight_spans;
-          ]
-          :: !rows;
-        obs_add_json wname
-          (Obs_json.Obj
-             [
-               ("cpus", Obs_json.Int cpus);
-               ("makespan", Obs_json.Int stats.Engine.makespan);
-               ("spans", Obs_span.to_json view);
-               ("critical_path", Obs_cp.to_json cp);
-             ]))
-      workloads;
+            i (sum (fun (_, l) -> List.length l) view.Obs_span.v_flight);
+          ])
+        workloads
+    in
     table
       ~header:
         [
@@ -1614,34 +1271,21 @@ module E18 = struct
           "residual";
           "flight";
         ]
-      (List.rev !rows)
+      rows
 end
-
-(* ================================================================== *)
 
 (* ================================================================== *)
 (* E19: scache page cache: read-mostly lookup storm                     *)
 (* ================================================================== *)
 
+(* Read-mostly page lookups against one vm_cache under three index
+   locks: the scache per-cpu refcount RW lock, the brlock, and a flat
+   mutex (every lookup takes the one simple lock — the baseline the
+   scache protocol exists to beat).  Writes (evict + refill) are rare
+   and staggered so the workload matches the cache's design point:
+   under the RW disciplines readers share the lock, under the mutex
+   they convoy. *)
 module E19 = struct
-  (* Read-mostly page lookups against one vm_cache under three index
-     locks: the scache per-cpu refcount RW lock, the brlock, and a flat
-     mutex (every lookup takes the one simple lock — the baseline the
-     scache protocol exists to beat).  Writes (evict + refill) are rare
-     and staggered so the workload matches the cache's design point:
-     under the RW disciplines readers share the lock, under the mutex
-     they convoy. *)
-  let sweep = [ 2; 8; 16; 32; 64 ]
-
-  let locking_name = function
-    | Vm.Vm_cache.Scache -> "scache"
-    | Vm.Vm_cache.Brlock_rw -> "brlock"
-    | Vm.Vm_cache.Mutex -> "mutex"
-
-  let storm locking cpus =
-    sim_run ~cpus (fun () ->
-        Scenarios.vm_cache_ops ~locking ~threads:cpus ())
-
   let run () =
     section ~id:"E19" ~title:"scache page cache: read-mostly lookup storm"
       ~claim:
@@ -1649,104 +1293,21 @@ module E19 = struct
          scache protocol counts readers in per-cpu refcount slots so \
          read-mostly lookups proceed in parallel, and the write-side \
          sweep only charges the rare evict/fill (s.5)";
-    let tbl = Hashtbl.create 16 in
-    let disciplines =
-      [ Vm.Vm_cache.Scache; Vm.Vm_cache.Brlock_rw; Vm.Vm_cache.Mutex ]
-    in
-    let rows =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let s = storm locking cpus in
-              let name = locking_name locking in
-              Hashtbl.replace tbl (name, cpus) s;
-              [
-                i cpus;
-                name;
-                i s.Engine.makespan;
-                i s.Engine.bus_transactions;
-                i s.Engine.atomic_ops;
-              ])
-            disciplines)
-        sweep
-    in
-    table
-      ~header:[ "cpus"; "locking"; "makespan"; "bus-txns"; "atomics" ]
-      rows;
-    let speedup name cpus =
-      let m = Hashtbl.find tbl ("mutex", cpus) in
-      let s = Hashtbl.find tbl (name, cpus) in
-      float_of_int m.Engine.makespan /. float_of_int s.Engine.makespan
-    in
-    printf "\nread-throughput speedup over the mutex cache (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "mutex/scache"; "mutex/brlock" ]
-      (List.map
-         (fun c -> [ i c; f2 (speedup "scache" c); f2 (speedup "brlock" c) ])
-         sweep);
-    (* Crossover: smallest cpu count from which scache stays ahead. *)
-    let beats c = speedup "scache" c > 1.0 in
-    let crossover =
-      let rec scan = function
-        | [] -> None
-        | c :: rest ->
-            if beats c && List.for_all beats rest then Some c else scan rest
-      in
-      scan sweep
-    in
-    (match crossover with
-    | Some c -> printf "scache beats the mutex cache from %d cpus up\n" c
-    | None -> printf "scache never beats the mutex cache in this sweep\n");
-    let storm_json =
-      List.concat_map
-        (fun cpus ->
-          List.map
-            (fun locking ->
-              let name = locking_name locking in
-              let s = Hashtbl.find tbl (name, cpus) in
-              Obs_json.Obj
-                [
-                  ("locking", Obs_json.String name);
-                  ("cpus", Obs_json.Int cpus);
-                  ("makespan", Obs_json.Int s.Engine.makespan);
-                  ("bus_txns", Obs_json.Int s.Engine.bus_transactions);
-                  ("atomics", Obs_json.Int s.Engine.atomic_ops);
-                ])
-            disciplines)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("scache_speedup", Obs_json.Float (speedup "scache" c));
-              ("brlock_speedup", Obs_json.Float (speedup "brlock" c));
-            ])
-        sweep
-    in
-    let out = "BENCH_cache.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E19",
-                Obs_json.Obj
-                  [
-                    ("storm", Obs_json.List storm_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "crossover_cpus",
-                      match crossover with
-                      | None -> Obs_json.Null
-                      | Some c -> Obs_json.Int c );
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\npage-cache tables written to %s\n" out
+    storm ~id:"E19" ~file:"BENCH_cache.json" ~what:"page-cache tables"
+      ~disciplines:
+        [
+          ("scache", Vm.Vm_cache.Scache);
+          ("brlock", Vm.Vm_cache.Brlock_rw);
+          ("mutex", Vm.Vm_cache.Mutex);
+        ]
+      ~title:"read-throughput speedup over the mutex cache (makespan ratio)"
+      ~base:"mutex"
+      ~over:
+        [
+          ("scache", "mutex/scache", "scache_speedup");
+          ("brlock", "mutex/brlock", "brlock_speedup");
+        ]
+      ~winner:"scache" ~loser:"the mutex cache" Workloads.cache_storm
 end
 
 (* ================================================================== *)
@@ -1754,20 +1315,15 @@ end
 (* ================================================================== *)
 
 module E20 = struct
-  (* The first end-to-end workload number (ROADMAP item 3): client cpus
-     hammer port-based echo servers through the MiG stubs and the full
-     section 10 reference protocol — per-request name lookup, port-right
-     translation, refcount take/drop, dispatch, reply, and (in the drain
-     leg) clean shutdown under load.  Two throughput mechanisms are
-     swept against the flat baseline: batching (the server dequeues up
-     to k requests per port-lock acquisition) and a sharded port name
-     space (names hashed over S translation tables, each under its own
-     lock, in place of the single global table).
-
-     RPCs/sec is simulated time at a nominal 1 GHz (1 cycle = 1 ns):
-     sustained = served x 1e9 / makespan-cycles.  The per-request
-     latency percentiles come from the rpc.latency_cycles histogram the
-     scenario feeds per call. *)
+  (* Client cpus hammer port-based echo servers through the MiG stubs
+     and the full section 10 reference protocol — per-request name
+     lookup, port-right translation, refcount take/drop, dispatch,
+     reply, and (in the drain leg) clean shutdown under load.  Two
+     throughput mechanisms are swept against the flat baseline: batching
+     (the server dequeues up to k requests per port-lock acquisition)
+     and a sharded port name space (names hashed over S translation
+     tables, each under its own lock, in place of the single global
+     table). *)
 
   let sweep = [ 2; 8; 16; 32; 64 ]
 
@@ -1775,64 +1331,35 @@ module E20 = struct
   let configs =
     [ ("flat", 1, 1); ("sharded", 8, 1); ("batched", 1, 8); ("sh+batch", 8, 8) ]
 
-  let panics = ref 0
+  open Workloads
 
-  type res = {
-    served : int;
-    drained : int;
-    makespan : int;
-    rps : float;
-    p50 : int;
-    p99 : int;
-  }
+  (* A row is a config's label and its run. *)
+  let result_cols =
+    Bench_rows.
+      [
+        col "rpcs" ~key:"served" (fun (_, r) -> J.Int r.served);
+        json "drained" (fun (_, r) -> J.Int r.drained);
+        col "makespan" ~key:"makespan" (fun (_, r) -> J.Int r.makespan);
+        col "RPCs/sec" ~key:"rpcs_per_sec" ~show:(fixed 0) (fun (_, r) ->
+            J.Float r.rps);
+        col "p50-cyc" ~key:"p50_cycles" (fun (_, r) -> J.Int r.p50);
+        col "p99-cyc" ~key:"p99_cycles" (fun (_, r) -> J.Int r.p99);
+      ]
 
-  let serve ?(drain = false) ~cpus ~shards ~batch ~calls_each () =
-    (* The views are reset per run so the latency percentiles are this
-       run's, not the sweep's aggregate, and the profile covers the same
-       run as the metrics. *)
-    Mach_core.Lock_probe.reset_views ();
-    let cfg = { (Config.bench ~cpus ()) with Config.seed = 3 } in
-    let counts = ref (0, 0) in
-    match
-      Engine.run_outcome ~cfg (fun () ->
-          counts :=
-            Scenarios.rpc_serve ~shards ~batch ~calls_each
-              ~drain_under_load:drain ())
-    with
-    | Engine.Completed stats ->
-        let served, drained = !counts in
-        let h =
-          Obs_metrics.merged (Obs_metrics.histogram "rpc.latency_cycles")
-        in
-        Some
-          {
-            served;
-            drained;
-            makespan = stats.Engine.makespan;
-            rps =
-              float_of_int served *. 1e9
-              /. float_of_int (max 1 stats.Engine.makespan);
-            p50 = Obs_histogram.percentile h 50.;
-            p99 = Obs_histogram.percentile h 99.;
-          }
-    | Engine.Panicked msg ->
-        incr panics;
-        printf "PANIC (%d cpus, shards=%d batch=%d): %s\n" cpus shards batch msg;
-        None
-    | Engine.Deadlocked (_, msg) ->
-        incr panics;
-        printf "DEADLOCK (%d cpus, shards=%d batch=%d): %s\n" cpus shards batch
-          msg;
-        None
-    | Engine.Hit_step_limit ->
-        incr panics;
-        printf "STEP LIMIT (%d cpus, shards=%d batch=%d)\n" cpus shards batch;
-        None
+  let cpus_col = Bench_rows.json "cpus" (fun (_, r) -> J.Int r.cpus)
 
-  let f0 x = Printf.sprintf "%.0f" x
+  let sweep_cols =
+    Bench_rows.
+      [
+        col "cpus" (fun (_, r) -> J.Int r.cpus);
+        col "config" ~key:"config" (fun (config, _) -> J.String config);
+        cpus_col;
+        json "shards" (fun (_, r) -> J.Int r.shards);
+        json "batch" (fun (_, r) -> J.Int r.batch);
+      ]
+    @ result_cols
 
   let run ?(smoke = false) () =
-    panics := 0;
     section ~id:"E20" ~title:"RPC serving: batching + sharded port name space"
       ~claim:
         "the section 10 reference protocol (translate, take/drop, \
@@ -1843,66 +1370,49 @@ module E20 = struct
          (Elphinstone et al.: IPC throughput is where lock granularity \
          pays off or collapses)";
     let sweep = if smoke then [ 4 ] else sweep in
-    let calls_each = 16 in
-    let tbl = Hashtbl.create 32 in
+    let failed = ref 0 in
+    let serve ?drain ~cpus ~shards ~batch ~calls_each () =
+      match Workloads.rpc_serve ?drain ~cpus ~shards ~batch ~calls_each () with
+      | Ok r -> Some r
+      | Error msg ->
+          incr failed;
+          printf "%s\n" msg;
+          None
+    in
     let rows =
-      List.concat_map
-        (fun cpus ->
-          List.filter_map
-            (fun (name, shards, batch) ->
-              match serve ~cpus ~shards ~batch ~calls_each () with
-              | None -> None
-              | Some r ->
-                  Hashtbl.replace tbl (name, cpus) r;
-                  Some
-                    [
-                      i cpus;
-                      name;
-                      i r.served;
-                      i r.makespan;
-                      f0 r.rps;
-                      i r.p50;
-                      i r.p99;
-                    ])
-            configs)
-        sweep
+      List.filter_map Fun.id
+        (grid sweep configs (fun cpus (config, shards, batch) ->
+             serve ~cpus ~shards ~batch ~calls_each:16 ()
+             |> Option.map (fun r -> (config, r))))
     in
-    table
-      ~header:
-        [ "cpus"; "config"; "rpcs"; "makespan"; "RPCs/sec"; "p50-cyc"; "p99-cyc" ]
-      rows;
-    let ratio name cpus =
-      match
-        (Hashtbl.find_opt tbl ("flat", cpus), Hashtbl.find_opt tbl (name, cpus))
-      with
-      | Some flat, Some r ->
-          Some (float_of_int flat.makespan /. float_of_int r.makespan)
-      | _ -> None
+    print sweep_cols rows;
+    let makespan name cpus =
+      List.find_opt (fun (config, r) -> config = name && r.cpus = cpus) rows
+      |> Option.map (fun (_, r) -> r.makespan)
     in
-    let fr = function Some x -> f2 x | None -> "-" in
+    let speedups =
+      speedup_cols makespan ~base:"flat"
+        [
+          ("sharded", "sharded", "sharded_speedup");
+          ("batched", "batched", "batched_speedup");
+          ("sh+batch", "sh+batch", "sharded_batched_speedup");
+        ]
+    in
     printf "\nthroughput speedup over flat batch=1 (makespan ratio):\n";
-    table
-      ~header:[ "cpus"; "sharded"; "batched"; "sh+batch" ]
-      (List.map
-         (fun c ->
-           [
-             i c;
-             fr (ratio "sharded" c);
-             fr (ratio "batched" c);
-             fr (ratio "sh+batch" c);
-           ])
-         sweep);
+    print speedups sweep;
     (* The headline sustained leg: a longer sharded+batched run at the
        top of the sweep (the smoke variant reuses the small size so it
        stays inside the CI budget). *)
     let sus_cpus, sus_calls = if smoke then (4, 32) else (64, 256) in
-    let sustained = serve ~cpus:sus_cpus ~shards:8 ~batch:8 ~calls_each:sus_calls () in
+    let sustained =
+      serve ~cpus:sus_cpus ~shards:8 ~batch:8 ~calls_each:sus_calls ()
+    in
     (match sustained with
     | Some r ->
         printf
-          "\nsustained: %d RPCs in %d cycles = %s RPCs/sec at a nominal 1 \
+          "\nsustained: %d RPCs in %d cycles = %.0f RPCs/sec at a nominal 1 \
            GHz (sharded+batched, %d cpus)\n"
-          r.served r.makespan (f0 r.rps) sus_cpus;
+          r.served r.makespan r.rps sus_cpus;
         printf "sustained p99 latency: %d cycles (p50 %d)\n" r.p99 r.p50
     | None -> printf "\nsustained leg FAILED\n");
     (* Shutdown under load: servers terminated mid-traffic must answer
@@ -1910,86 +1420,40 @@ module E20 = struct
        scenario panics on a §4 double-free or a leaked reference, so a
        Completed outcome IS the clean-drain verdict. *)
     let drain_cpus = if smoke then 4 else 16 in
-    let drain_res = serve ~drain:true ~cpus:drain_cpus ~shards:4 ~batch:4 ~calls_each () in
-    (match drain_res with
+    let drain =
+      serve ~drain:true ~cpus:drain_cpus ~shards:4 ~batch:4 ~calls_each:16 ()
+    in
+    (match drain with
     | Some r ->
         printf
           "shutdown drain: clean (%d cpus: %d served, %d in-flight answered \
            err_deactivated, all references balanced)\n"
           drain_cpus r.served r.drained
     | None -> printf "shutdown drain: FAILED\n");
-    printf "refcount panics: %d\n" !panics;
-    let res_json r =
-      [
-        ("served", Obs_json.Int r.served);
-        ("drained", Obs_json.Int r.drained);
-        ("makespan", Obs_json.Int r.makespan);
-        ("rpcs_per_sec", Obs_json.Float r.rps);
-        ("p50_cycles", Obs_json.Int r.p50);
-        ("p99_cycles", Obs_json.Int r.p99);
-      ]
+    printf "refcount panics: %d\n" !failed;
+    if !failed > 0 then
+      error
+        (Printf.sprintf
+           "E20: %d runs panicked, deadlocked or hit the step limit" !failed);
+    (* The sustained and drain legs: one object each. *)
+    let leg = function
+      | Some r -> Bench_rows.obj (cpus_col :: result_cols) ("", r)
+      | None -> J.Null
     in
-    let sweep_json =
-      List.concat_map
-        (fun cpus ->
-          List.filter_map
-            (fun (name, shards, batch) ->
-              Hashtbl.find_opt tbl (name, cpus)
-              |> Option.map (fun r ->
-                     Obs_json.Obj
-                       ([
-                          ("config", Obs_json.String name);
-                          ("cpus", Obs_json.Int cpus);
-                          ("shards", Obs_json.Int shards);
-                          ("batch", Obs_json.Int batch);
-                        ]
-                       @ res_json r)))
-            configs)
-        sweep
-    in
-    let speedup_json =
-      List.map
-        (fun c ->
-          let f name =
-            match ratio name c with
-            | Some x -> Obs_json.Float x
-            | None -> Obs_json.Null
-          in
-          Obs_json.Obj
-            [
-              ("cpus", Obs_json.Int c);
-              ("sharded_speedup", f "sharded");
-              ("batched_speedup", f "batched");
-              ("sharded_batched_speedup", f "sh+batch");
-            ])
-        sweep
-    in
-    let opt_obj extra = function
-      | Some r -> Obs_json.Obj (extra @ res_json r)
-      | None -> Obs_json.Null
-    in
-    let out = "BENCH_rpc.json" in
-    let oc = open_out out in
-    output_string oc
-      (Obs_json.to_string
-         (Obs_json.Obj
-            [
-              ( "E20",
-                Obs_json.Obj
-                  [
-                    ("mode", Obs_json.String (if smoke then "smoke" else "full"));
-                    ("sweep", Obs_json.List sweep_json);
-                    ("speedup", Obs_json.List speedup_json);
-                    ( "sustained",
-                      opt_obj [ ("cpus", Obs_json.Int sus_cpus) ] sustained );
-                    ( "drain",
-                      opt_obj [ ("cpus", Obs_json.Int drain_cpus) ] drain_res );
-                    ("refcount_panics", Obs_json.Int !panics);
-                  ] );
-            ]));
-    output_char oc '\n';
-    close_out oc;
-    printf "\nrpc tables written to %s\n" out
+    write_json ~what:"rpc tables" "BENCH_rpc.json"
+      (J.Obj
+         [
+           ( "E20",
+             J.Obj
+               [
+                 ("mode", J.String (if smoke then "smoke" else "full"));
+                 ("sweep", Bench_rows.to_json sweep_cols rows);
+                 ("speedup", Bench_rows.to_json speedups sweep);
+                 ("sustained", leg sustained);
+                 ("drain", leg drain);
+                 ("refcount_panics", J.Int !failed);
+               ] );
+         ])
 end
 
 let experiments =
@@ -2018,13 +1482,30 @@ let experiments =
     ("X1", X1.run);
   ]
 
+(* A subset run replaces only the sections of the experiments it ran;
+   the file keeps the others from its last run, in [experiments] order. *)
+let observability_file = "BENCH_observability.json"
+
+let merge_observability fresh =
+  let previous =
+    match read_json observability_file with
+    | Ok (J.Obj sections) -> sections
+    | _ -> []
+  in
+  List.filter_map
+    (fun (id, _) ->
+      match List.assoc_opt id fresh with
+      | Some j -> Some (id, j)
+      | None -> Option.map (fun j -> (id, j)) (List.assoc_opt id previous))
+    experiments
+
 let () =
   let requested =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as ids) -> ids
     | _ -> List.map fst experiments
   in
-  let obs = ref [] and scope_errors = ref [] in
+  let fresh = ref [] in
   List.iter
     (fun id ->
       match List.assoc_opt id experiments with
@@ -2033,23 +1514,18 @@ let () =
           run ();
           obs_section ~id ();
           Option.iter
-            (fun e -> scope_errors := e :: !scope_errors)
+            (fun e -> error ("observability scope error: " ^ e))
             (obs_scope_error ~id);
-          obs := (id, obs_json ()) :: !obs
+          fresh := (id, obs_json ()) :: !fresh
       | None ->
           Printf.eprintf "unknown experiment %s (known: %s)\n" id
             (String.concat " " (List.map fst experiments));
           exit 1)
     requested;
-  if !scope_errors <> [] then begin
-    List.iter (Printf.eprintf "observability scope error: %s\n")
-      (List.rev !scope_errors);
+  if !errors <> [] then begin
+    List.iter prerr_endline (List.rev !errors);
     exit 1
   end;
-  let out = "BENCH_observability.json" in
-  let oc = open_out out in
-  output_string oc (Obs_json.to_string (Obs_json.Obj (List.rev !obs)));
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nper-experiment observability written to %s\n" out;
-  Printf.printf "All requested experiments completed.\n"
+  write_json ~what:"per-experiment observability" observability_file
+    (J.Obj (merge_observability !fresh));
+  printf "All requested experiments completed.\n"

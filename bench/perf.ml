@@ -16,32 +16,22 @@
    Results are written to BENCH_sim_perf.json so CI can archive the perf
    trajectory per PR (`make perf-smoke` runs the `--fast` variant). *)
 
-module Engine = Mach_sim.Sim_engine
-module Config = Mach_sim.Sim_config
+open Bench_util
 module Explore = Mach_sim.Sim_explore
-module K = Mach_ksync.Ksync
 module Obs_json = Mach_obs.Obs_json
 module Mc = Mach_mc.Mc
 
-let e1_scenario ~iters () =
-  let lock = K.Slock.make ~name:"e1" ~protocol:Mach_core.Spin.Ttas () in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-  let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to iters do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-  List.iter Engine.join ts
+(* E1's contention loop on a ttas lock, at the machine's cpu count. *)
+let e1_scenario ~iters =
+  Workloads.contention ~protocol:Mach_core.Spin.Ttas ~name:"e1" ~iters
 
-let wall f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+(* A row's BENCH_sim_perf.json object, also printed as one line of
+   key=value pairs. *)
+let row name fields =
+  Printf.printf "%s: %s\n%!" name
+    (String.concat "  "
+       (List.map (fun (k, v) -> k ^ "=" ^ Obs_json.to_string v) fields));
+  Obs_json.Obj fields
 
 (* ------------------------------------------------------------------ *)
 
@@ -114,39 +104,26 @@ let engine_throughput ~repeats ~iters =
   in
   let steps_off, off_s, sps, calib = measure ~spans:false in
   let _, _, sps_on, _ = measure ~spans:true in
-  let vs_calib = sps /. calib in
-  Printf.printf
-    "engine: 16-cpu E1 contention x%d  steps=%d  wall=%.3fs  best \
-     steps/sec=%.0f (%.2fx of pre-overhaul baseline)\n%!"
-    repeats steps_off off_s sps
-    (sps /. baseline_steps_per_sec);
-  Printf.printf
-    "engine: same workload, spans on  steps/sec=%.0f  (%.3fx of spans-off)\n%!"
-    sps_on (sps_on /. sps);
-  Printf.printf
-    "engine: calibration %.0f ops/sec; normalized steps-per-calib-op=%.5f\n%!"
-    calib vs_calib;
-  ( sps,
-    Obs_json.Obj
-      [
-        ("scenario", Obs_json.String "e1-contention-16cpu");
-        ("repeats", Obs_json.Int repeats);
-        ("iters_per_worker", Obs_json.Int iters);
-        ("steps", Obs_json.Int steps_off);
-        ("wall_s", Obs_json.Float off_s);
-        ("steps_per_sec", Obs_json.Float sps);
-        ("baseline_steps_per_sec", Obs_json.Float baseline_steps_per_sec);
-        ("vs_baseline", Obs_json.Float (sps /. baseline_steps_per_sec));
-        ("calib_ops_per_sec", Obs_json.Float calib);
-        ("vs_calib", Obs_json.Float vs_calib);
-        ( "spans",
-          Obs_json.Obj
-            [
-              ("off_steps_per_sec", Obs_json.Float sps);
-              ("on_steps_per_sec", Obs_json.Float sps_on);
-              ("on_vs_off", Obs_json.Float (sps_on /. sps));
-            ] );
-      ] )
+  row "engine"
+    [
+      ("scenario", Obs_json.String "e1-contention-16cpu");
+      ("repeats", Obs_json.Int repeats);
+      ("iters_per_worker", Obs_json.Int iters);
+      ("steps", Obs_json.Int steps_off);
+      ("wall_s", Obs_json.Float off_s);
+      ("steps_per_sec", Obs_json.Float sps);
+      ("baseline_steps_per_sec", Obs_json.Float baseline_steps_per_sec);
+      ("vs_baseline", Obs_json.Float (sps /. baseline_steps_per_sec));
+      ("calib_ops_per_sec", Obs_json.Float calib);
+      ("vs_calib", Obs_json.Float (sps /. calib));
+      ( "spans",
+        Obs_json.Obj
+          [
+            ("off_steps_per_sec", Obs_json.Float sps);
+            ("on_steps_per_sec", Obs_json.Float sps_on);
+            ("on_vs_off", Obs_json.Float (sps_on /. sps));
+          ] );
+    ]
 
 let sweep ~seeds ~domains:requested =
   let seed_list = List.init seeds (fun s -> s + 1) in
@@ -163,174 +140,105 @@ let sweep ~seeds ~domains:requested =
   let cores = Domain.recommended_domain_count () in
   let domains = min requested cores in
   let seq, seq_s = wall (run 1) in
-  let common =
-    [
-      ("seeds", Obs_json.Int seeds);
-      ("requested_domains", Obs_json.Int requested);
-      ("domains", Obs_json.Int domains);
-      ("cores", Obs_json.Int cores);
-      ("core_bound", Obs_json.Bool (cores < requested));
-      ("seq_wall_s", Obs_json.Float seq_s);
-      ("completed", Obs_json.Int seq.Explore.completed);
-    ]
+  let parallel =
+    if domains < 2 then
+      [
+        ("speedup", Obs_json.Null);
+        ( "speedup_skipped",
+          Obs_json.String "host has a single core; no parallel leg run" );
+      ]
+    else begin
+      let par, par_s = wall (run domains) in
+      if seq <> par then begin
+        prerr_endline "FATAL: parallel sweep verdict differs from sequential";
+        exit 1
+      end;
+      [
+        ("par_wall_s", Obs_json.Float par_s);
+        ("speedup", Obs_json.Float (seq_s /. par_s));
+        ("verdicts_equal", Obs_json.Bool true);
+      ]
+    end
   in
-  if domains < 2 then begin
-    Printf.printf
-      "sweep: %d seeds  seq=%.3fs  (%d/%d completed); parallel leg SKIPPED: \
-       host has %d core(s), a multi-domain speedup would be meaningless\n%!"
-      seeds seq_s seq.Explore.completed seq.Explore.seeds_run cores;
-    Obs_json.Obj
-      (common
-      @ [
-          ("speedup", Obs_json.Null);
-          ( "speedup_skipped",
-            Obs_json.String "host has a single core; no parallel leg run" );
-        ])
-  end
-  else begin
-    let par, par_s = wall (run domains) in
-    if seq <> par then begin
-      Printf.eprintf "FATAL: parallel sweep verdict differs from sequential\n";
-      exit 1
-    end;
-    let speedup = seq_s /. par_s in
-    Printf.printf
-      "sweep: %d seeds  seq=%.3fs  %d-domain=%.3fs  speedup=%.2fx  (%d/%d \
-       completed, verdicts equal, %d core(s) available)\n%!"
-      seeds seq_s domains par_s speedup seq.Explore.completed
-      seq.Explore.seeds_run cores;
-    if cores < requested then
-      Printf.printf
-        "sweep: note: %d domains requested but only %d core(s); fan-out \
-         clamped to the core count\n%!"
-        requested cores;
-    Obs_json.Obj
-      (common
-      @ [
-          ("par_wall_s", Obs_json.Float par_s);
-          ("speedup", Obs_json.Float speedup);
-          ("verdicts_equal", Obs_json.Bool true);
-        ])
-  end
+  row "sweep"
+    ([
+       ("seeds", Obs_json.Int seeds);
+       ("requested_domains", Obs_json.Int requested);
+       ("domains", Obs_json.Int domains);
+       ("cores", Obs_json.Int cores);
+       ("core_bound", Obs_json.Bool (cores < requested));
+       ("seq_wall_s", Obs_json.Float seq_s);
+       ("completed", Obs_json.Int seq.Explore.completed);
+     ]
+    @ parallel)
 
 (* ------------------------------------------------------------------ *)
 
-(* Deterministic guard on the range-locked fault path: for a fixed
-   (cfg, seed) the simulated makespan of the E16 storm is
-   schedule-deterministic, so the coarse/range makespan ratio has zero
-   host noise — the gate can pin it tightly.  A change that reserializes
-   faults (say, a range-lock conversion regressing to whole-map width)
-   collapses the ratio towards 1 and trips the gate without any
-   wall-clock measurement. *)
-let vm_storm locking =
-  let cfg = { (Config.bench ~cpus:16 ()) with Config.seed = 3 } in
-  let stats =
-    Engine.run ~cfg (fun () ->
-        Mach_kernel.Scenarios.vm_fault_storm ~locking ~threads:16
-          ~pages_per_thread:2 ~rounds:1 ())
-  in
-  stats.Engine.makespan
+(* Deterministic rows: for a fixed (cfg, seed) a simulated makespan has
+   zero host noise, so the gate can pin each experiment's headline ratio
+   tightly.  A change that reserializes the path the ratio measures
+   collapses it towards 1 and trips the gate without any wall-clock
+   measurement.  Each row reruns its experiment's own workload at one
+   cpu count. *)
+
+(* [base]'s makespan over [over]'s in one storm at [cpus]: E16's fault
+   storm (coarse/range, 16 cpus) and E19's read-mostly lookup storm
+   (mutex/scache, 64 cpus). *)
+let storm_row name ~scenario ~key ~cpus (base, b) (over, o) storm =
+  let base_ms = (storm b cpus).Engine.makespan in
+  let over_ms = (storm o cpus).Engine.makespan in
+  row name
+    [
+      ("scenario", Obs_json.String scenario);
+      (base ^ "_makespan", Obs_json.Int base_ms);
+      (over ^ "_makespan", Obs_json.Int over_ms);
+      (key, Obs_json.Float (float_of_int base_ms /. float_of_int over_ms));
+    ]
 
 let vm_row () =
-  let coarse = vm_storm Mach_vm.Vm_map.Coarse in
-  let range = vm_storm Mach_vm.Vm_map.Range in
-  let speedup = float_of_int coarse /. float_of_int range in
-  Printf.printf
-    "vm: 16-cpu fault storm  coarse makespan=%d  range makespan=%d  \
-     range_speedup=%.2fx (deterministic)\n%!"
-    coarse range speedup;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "vm-fault-storm-16cpu");
-      ("coarse_makespan", Obs_json.Int coarse);
-      ("range_makespan", Obs_json.Int range);
-      ("range_speedup", Obs_json.Float speedup);
-    ]
-
-(* Same deterministic-guard idea for the scache page cache (E19): the
-   mutex/scache makespan ratio of the 64-cpu read-mostly lookup storm is
-   pure simulated time, so the gate can pin the read-side win of the
-   per-cpu refcount RW lock.  A change that reserializes readers (say, a
-   read path falling back to the write-side sweep) collapses the ratio
-   and trips the gate with zero host noise. *)
-let cache_storm locking =
-  let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
-  let stats =
-    Engine.run ~cfg (fun () ->
-        Mach_kernel.Scenarios.vm_cache_ops ~locking ~threads:64 ())
-  in
-  stats.Engine.makespan
+  storm_row "vm" ~scenario:"vm-fault-storm-16cpu" ~key:"range_speedup"
+    ~cpus:16
+    ("coarse", Mach_vm.Vm_map.Coarse)
+    ("range", Mach_vm.Vm_map.Range)
+    Workloads.vm_storm
 
 let cache_row () =
-  let mutex = cache_storm Mach_vm.Vm_cache.Mutex in
-  let scache = cache_storm Mach_vm.Vm_cache.Scache in
-  let speedup = float_of_int mutex /. float_of_int scache in
-  Printf.printf
-    "cache: 64-cpu lookup storm  mutex makespan=%d  scache makespan=%d  \
-     read_speedup=%.2fx (deterministic)\n%!"
-    mutex scache speedup;
-  Obs_json.Obj
-    [
-      ("scenario", Obs_json.String "vm-cache-lookup-storm-64cpu");
-      ("mutex_makespan", Obs_json.Int mutex);
-      ("scache_makespan", Obs_json.Int scache);
-      ("read_speedup", Obs_json.Float speedup);
-    ]
+  storm_row "cache" ~scenario:"vm-cache-lookup-storm-64cpu"
+    ~key:"read_speedup" ~cpus:64
+    ("mutex", Mach_vm.Vm_cache.Mutex)
+    ("scache", Mach_vm.Vm_cache.Scache)
+    Workloads.cache_storm
 
-(* Same deterministic-guard idea for the RPC serving path (E20): the
-   flat/sharded+batched makespan ratio of the 64-cpu serving workload is
-   pure simulated time, so the gate can pin the end-to-end throughput win
-   of batched dequeue + the sharded port name space.  A change that
-   reserializes the hot path (say, name lookups falling back to one
-   global table lock, or batching degrading to one message per lock
-   hold) collapses the ratio and trips the gate with zero host noise.
-
-   The sharded+batched run also yields the engine's host work per
-   simulated RPC: fiber resumes per RPC, against engine steps per RPC.
-   Nearly every step of that run is a reply or request spin-wait
-   iteration, which the scheduler runs in place without resuming the
-   waiter; resumes_per_rpc is deterministic and climbs back to
-   steps_per_rpc if that fast path stops applying.  collections_per_rpc
-   counts the scheduler's full candidate collections (a scan of every
-   cpu): only a dispatch, a queue or interrupt change, or a cpu left idle
-   forces one, and it climbs towards steps_per_rpc if the scheduler
-   stops carrying its candidate set across the other steps. *)
-let rpc_serve ~shards ~batch =
-  let cfg = { (Config.bench ~cpus:64 ()) with Config.seed = 3 } in
-  let served = ref 0 in
-  let stats =
-    Engine.run ~cfg (fun () ->
-        served :=
-          fst (Mach_kernel.Scenarios.rpc_serve ~shards ~batch ~calls_each:16 ()))
-  in
-  let work =
-    match Engine.last_work () with
-    | Some w -> w
-    | None -> { Engine.resumes = 0; collections = 0 }
-  in
-  (stats, work, !served)
-
+(* E20 at 64 cpus: the flat/sharded+batched makespan ratio of the
+   serving workload, and the engine's host work per simulated RPC in the
+   sharded+batched run.  Nearly every step of that run is a reply or
+   request spin-wait iteration, which the scheduler runs in place without
+   resuming the waiter: resumes_per_rpc climbs back to steps_per_rpc if
+   that fast path stops applying.  collections_per_rpc counts the
+   scheduler's full candidate collections (a scan of every cpu): only a
+   dispatch, a queue or interrupt change, or a cpu left idle forces one,
+   and it climbs towards steps_per_rpc if the scheduler stops carrying
+   its candidate set across the other steps. *)
 let rpc_row () =
-  let flat, _, _ = rpc_serve ~shards:1 ~batch:1 in
-  let sharded, work, served = rpc_serve ~shards:8 ~batch:8 in
-  let flat = flat.Engine.makespan in
-  let steps = sharded.Engine.steps in
-  let sharded = sharded.Engine.makespan in
-  let speedup = float_of_int flat /. float_of_int sharded in
-  let per_rpc n = float_of_int n /. float_of_int served in
-  Printf.printf
-    "rpc: 64-cpu serving  flat makespan=%d  sharded+batched makespan=%d  \
-     throughput_speedup=%.2fx  steps/rpc=%.1f  resumes/rpc=%.1f \
-     collections/rpc=%.2f (deterministic)\n%!"
-    flat sharded speedup (per_rpc steps) (per_rpc work.Engine.resumes)
-    (per_rpc work.Engine.collections);
-  Obs_json.Obj
+  let serve ~shards ~batch =
+    match Workloads.rpc_serve ~cpus:64 ~shards ~batch ~calls_each:16 () with
+    | Ok r -> r
+    | Error msg ->
+        Printf.eprintf "FATAL: rpc: %s\n" msg;
+        exit 1
+  in
+  let flat = serve ~shards:1 ~batch:1 in
+  let sharded = serve ~shards:8 ~batch:8 in
+  let speedup = float_of_int flat.makespan /. float_of_int sharded.makespan in
+  let per_rpc n = float_of_int n /. float_of_int sharded.served in
+  let work = sharded.work in
+  row "rpc"
     [
       ("scenario", Obs_json.String "rpc-serve-64cpu");
-      ("flat_makespan", Obs_json.Int flat);
-      ("sharded_batched_makespan", Obs_json.Int sharded);
+      ("flat_makespan", Obs_json.Int flat.makespan);
+      ("sharded_batched_makespan", Obs_json.Int sharded.makespan);
       ("throughput_speedup", Obs_json.Float speedup);
-      ("steps_per_rpc", Obs_json.Float (per_rpc steps));
+      ("steps_per_rpc", Obs_json.Float (per_rpc sharded.steps));
       ("resumes_per_rpc", Obs_json.Float (per_rpc work.Engine.resumes));
       ( "collections_per_rpc",
         Obs_json.Float (per_rpc work.Engine.collections) );
@@ -359,11 +267,7 @@ let mc_row () =
   let st = r.Mc.stats in
   let started = st.Mc.executions + st.Mc.pruned in
   let us_per_execution = 1e6 *. best /. float_of_int started in
-  Printf.printf
-    "mc: 3-cpu scache-rrw, bound 3  executions=%d pruned=%d transitions=%d \
-     (deterministic)  best search=%.3fs  host us/execution=%.1f\n%!"
-    st.Mc.executions st.Mc.pruned st.Mc.transitions best us_per_execution;
-  Obs_json.Obj
+  row "mc"
     [
       ("scenario", Obs_json.String "scache-rrw-3cpu-bound3");
       ("executions", Obs_json.Int st.Mc.executions);
@@ -378,15 +282,13 @@ let mc_row () =
    and after a change, and recorded by hand under "host_walls".  Carry
    that object over so a perf run does not erase it. *)
 let recorded_walls path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error _ -> []
-  | text -> (
-      match Obs_json.of_string text with
-      | Ok doc -> (
-          match Obs_json.member "host_walls" doc with
-          | Some w -> [ ("host_walls", w) ]
-          | None -> [])
-      | Error _ -> [])
+  match
+    Option.bind
+      (Result.to_option (read_json path))
+      (Obs_json.member "host_walls")
+  with
+  | Some w -> [ ("host_walls", w) ]
+  | None -> []
 
 let () =
   let fast = Array.exists (fun a -> a = "--fast") Sys.argv in
@@ -397,7 +299,7 @@ let () =
   (* The reference sweep is 8-domain; on hosts with fewer cores the
      measured speedup is core-bound (recorded in the json). *)
   let domains = 8 in
-  let _sps, engine_json = engine_throughput ~repeats ~iters in
+  let engine_json = engine_throughput ~repeats ~iters in
   (* The vm row is deterministic (simulated time), so it is cheap enough
      to emit unconditionally — including --engine-only, which is what
      the CI perf gate runs. *)
@@ -421,8 +323,4 @@ let () =
       @ [ ("mode", Obs_json.String (if fast then "fast" else "full")) ]
       @ recorded_walls out)
   in
-  let oc = open_out out in
-  output_string oc (Obs_json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "perf results written to %s\n" out
+  write_json ~what:"perf results" out doc
