@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check probe-guard build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
+.PHONY: all check probe-guard state-guard build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
 
 all: build
 
@@ -10,9 +10,9 @@ build:
 test:
 	dune runtest
 
-# The tier-1 gate: the one-path guard, then build everything and run
-# every test suite.
-check: probe-guard
+# The tier-1 gate: the one-path and per-run-state guards, then build
+# everything and run every test suite.
+check: probe-guard state-guard
 	dune build
 	dune runtest
 
@@ -29,6 +29,29 @@ probe-guard:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "probe-guard passed"
+
+# Per-run state lives in MACHINE.machine_local only.  No module-level
+# Atomic.make or Domain.DLS.new_key binding in the kernel layers, except
+# the id counters (they name objects and change no schedule) and the
+# waits-for graph (the engine resets it as each run starts and ends);
+# and no second reset mechanism beside it.
+STATE_DIRS = lib/core lib/locks lib/vm lib/kern lib/ipc lib/kernel
+STATE_BINDING = ^(  )?let [a-z_0-9]+[^=]*(= *(Atomic\.make|Domain\.DLS\.new_key)|(Atomic\.t|Domain\.DLS\.key) *=$$)
+STATE_ALLOWED = ^lib/(core/(simple_lock|complex_lock|refcount)|locks/(range_lock|scache_rwlock))\.ml:[0-9]+:  let next_id |^lib/vm/pmap\.ml:[0-9]+:let id_counter |^lib/vm/vm_map\.ml:[0-9]+:let map_counter |^lib/core/waits_for\.ml:[0-9]+:let state_key 
+
+state-guard:
+	@bad=$$(grep -rnE '$(STATE_BINDING)' --include='*.ml' $(STATE_DIRS) \
+		| grep -v ' in$$' | grep -vE '$(STATE_ALLOWED)'); \
+	if [ -n "$$bad" ]; then \
+		echo "process-global state outside MACHINE.machine_local:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn 'Run_reset' lib); \
+	if [ -n "$$bad" ]; then \
+		echo "Run_reset is gone: per-run state belongs in machine_local:"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "state-guard passed"
 
 bench:
 	dune exec bench/main.exe

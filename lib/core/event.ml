@@ -49,7 +49,11 @@ struct
      simulation run, so a waiter record or enqueued waiter surviving one
      run would be found — stale — by an unrelated thread of the next run,
      and parallel simulations in other domains must not share the queues
-     at all.  The [Run_reset] hook rebuilds it between runs. *)
+     at all.  A run torn down mid-critical-section (step limit, model
+     checker cut) leaves a bucket or registry lock held; the next run
+     builds its own.  The build happens at the first use inside a run,
+     so its lock cells take the same footprint ids on every execution
+     of a model-checked scenario. *)
   type dstate = {
     mutable counter : int;
     buckets : bucket array;
@@ -71,30 +75,7 @@ struct
       registry_lock = Slock.make ~name:"evt-registry" ();
     }
 
-  (* The slot holds an option and the dstate is built on first use
-     INSIDE the run, not by the reset hook: the hook fires during run
-     setup, where a built dstate would allocate lock cells into the
-     run's footprint id sequence — and the machine-local slot's own
-     one-time lazy init would then allocate an extra batch on the very
-     first run of a domain, shifting every later cell id of that run
-     relative to re-executions and corrupting the model checker's
-     footprint identities. *)
-  let dstate_cell = M.machine_local (fun () -> ref None)
-
-  let dstate () =
-    let c = dstate_cell () in
-    match !c with
-    | Some s -> s
-    | None ->
-        let s = mk_dstate () in
-        c := Some s;
-        s
-
-  (* Rebuild from scratch rather than clearing in place: a run torn down
-     mid-critical-section (step limit, model-checker cut) leaves a
-     bucket or registry lock held, and merely emptying the queues would
-     hand the next run a lock nobody will ever release. *)
-  let () = Run_reset.register (fun () -> dstate_cell () := None)
+  let dstate = M.machine_local mk_dstate
 
   let fresh_event () =
     let s = dstate () in

@@ -8,86 +8,74 @@ struct
   let class_name c = c.cname
   let class_rank c = c.rank
 
-  (* Per-thread stack of held classes.  The table is domain-local: on
-     the simulated machine every fiber of a run shares one domain (and
-     the table operations contain no preemption points), while on the
-     native machine each thread is its own domain and only ever touches
-     its own table — so no lock is needed in either case.  Entries would
-     otherwise accumulate forever (thread ids are never reused within a
-     domain but runs are), so the engine's teardown clears the table via
-     the registered {!Run_reset} hook; stale stacks from a previous
-     Sim_explore seed can no longer produce phantom violations. *)
-  let held_key : (int, cls list ref) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+  (* Each thread's stack of held classes (keyed by thread id) and the
+     violation log, scoped to the running machine: a run that never
+     released a class leaves no stale stack behind to flag phantom
+     violations in the next run.  The mutex matters on the native
+     machine only, where the cpus are domains sharing the one table; in
+     a simulation the operations contain no preemption point. *)
+  type state = {
+    mu : Mutex.t;
+    held : (int, cls list) Hashtbl.t;
+    mutable log : string list; (* most recent first *)
+  }
 
-  let reset_held () = Hashtbl.reset (Domain.DLS.get held_key)
-  let () = Run_reset.register reset_held
+  let state =
+    M.machine_local (fun () ->
+        { mu = Mutex.create (); held = Hashtbl.create 64; log = [] })
 
-  let my_stack () =
-    let tid = M.thread_id (M.self ()) in
-    let held = Domain.DLS.get held_key in
-    match Hashtbl.find_opt held tid with
-    | Some r -> r
-    | None ->
-        let r = ref [] in
-        Hashtbl.add held tid r;
-        r
+  let with_stack f =
+    let self = M.self () in
+    let tid = M.thread_id self in
+    let s = state () in
+    Mutex.protect s.mu (fun () ->
+        let stack = Option.value ~default:[] (Hashtbl.find_opt s.held tid) in
+        let stack, violation = f stack (M.thread_name self) in
+        Hashtbl.replace s.held tid stack;
+        Option.iter (fun msg -> s.log <- msg :: s.log) violation)
 
-  let violation_log : string list Atomic.t = Atomic.make []
-  let fatal_violations = Atomic.make false
-  let set_fatal_violations b = Atomic.set fatal_violations b
-
-  let record_violation msg =
-    if Atomic.get fatal_violations then M.fatal msg
-    else begin
-      let rec push () =
-        let old = Atomic.get violation_log in
-        if not (Atomic.compare_and_set violation_log old (msg :: old)) then
-          push ()
-      in
-      push ()
-    end
-
-  let violations () = Atomic.get violation_log
-  let clear_violations () = Atomic.set violation_log []
+  let violations () = (state ()).log
+  let clear_violations () = (state ()).log <- []
 
   let note_acquire c =
-    let stack = my_stack () in
-    (* Compare against the maximum rank held anywhere in the stack, not
-       just the most recent acquisition: holding [rank 1; rank 3] and
-       acquiring rank 2 is a violation against the rank-3 class even
-       though the top of the stack is rank 1. *)
-    let worst =
-      List.fold_left
-        (fun acc h ->
-          match acc with Some w when w.rank >= h.rank -> acc | _ -> Some h)
-        None !stack
-    in
-    (match worst with
-    | Some w when w.rank > c.rank ->
-        record_violation
-          (Printf.sprintf
-             "lock order violation: thread %s acquired class %s (rank %d) \
-              while holding class %s (rank %d)"
-             (M.thread_name (M.self ()))
-             c.cname c.rank w.cname w.rank)
-    | _ -> ());
-    stack := c :: !stack
+    with_stack (fun stack who ->
+        (* Compare against the maximum rank held anywhere in the stack,
+           not just the most recent acquisition: holding [rank 1; rank 3]
+           and acquiring rank 2 is a violation against the rank-3 class
+           even though the top of the stack is rank 1. *)
+        let worst =
+          List.fold_left
+            (fun acc h ->
+              match acc with
+              | Some w when w.rank >= h.rank -> acc
+              | _ -> Some h)
+            None stack
+        in
+        ( c :: stack,
+          match worst with
+          | Some w when w.rank > c.rank ->
+              Some
+                (Printf.sprintf
+                   "lock order violation: thread %s acquired class %s (rank \
+                    %d) while holding class %s (rank %d)"
+                   who c.cname c.rank w.cname w.rank)
+          | _ -> None ))
 
   let note_release c =
-    let stack = my_stack () in
-    let rec remove_first = function
-      | [] ->
-          record_violation
-            (Printf.sprintf
-               "lock order: thread %s released class %s it does not hold"
-               (M.thread_name (M.self ()))
-               c.cname);
-          []
-      | top :: rest when top.cname = c.cname -> rest
-      | top :: rest -> top :: remove_first rest
-    in
-    stack := remove_first !stack
+    with_stack (fun stack who ->
+        let rec remove_first = function
+          | [] -> None
+          | top :: rest when top.cname = c.cname -> Some rest
+          | top :: rest -> Option.map (List.cons top) (remove_first rest)
+        in
+        match remove_first stack with
+        | Some rest -> (rest, None)
+        | None ->
+            ( stack,
+              Some
+                (Printf.sprintf
+                   "lock order: thread %s released class %s it does not hold"
+                   who c.cname) ))
 
   let lock_both_by_uid a b =
     if Slock.uid a = Slock.uid b then Slock.lock a

@@ -34,18 +34,13 @@ module Make
 
   val note_release : cls -> unit
 
-  val reset_held : unit -> unit
-  (** Clear every thread's held-class stack (this domain).  Registered
-      with {!Run_reset} and run by the engine at teardown, so stacks from
-      finished runs cannot leak into the next seed. *)
-
   val violations : unit -> string list
-  (** Violations recorded so far (most recent first). *)
+  (** Violations recorded so far on the running machine (on the
+      simulator: in this run), most recent first.  Held stacks are
+      scoped the same way, so a class a finished run never released
+      cannot flag a violation in the next one. *)
 
   val clear_violations : unit -> unit
-
-  val set_fatal_violations : bool -> unit
-  (** When true, an order violation panics instead of being recorded. *)
 
   (** {1 Same-type pairs, ordered by address} *)
 

@@ -142,15 +142,15 @@ module type MACHINE = sig
 
   val machine_local : (unit -> 'a) -> unit -> 'a
   (** [machine_local init] returns an accessor for mutable state scoped
-      to one machine instance — shared by every thread and interrupt of
-      that machine, but never by two machines.  On the native machine
-      all domains are cpus of the single process-wide machine, so the
-      state is process-global (built once, eagerly).  On the simulated
-      machine a domain hosts at most one simulation at a time while
-      other domains may run unrelated simulations concurrently, so the
-      state is domain-local (built lazily per domain).  Modules holding
-      per-run state in a [machine_local] must also register a
-      {!Run_reset} hook to rebuild it between runs. *)
+      to one running machine: shared by every thread and interrupt of
+      that machine, never by two.  On the native machine every domain is
+      a cpu of the one process-wide machine, so the state is built once,
+      eagerly, and lives as long as the process.  On the simulated
+      machine each run is a machine of its own: the state is built at
+      the first access inside a run and no other run ever sees it, so a
+      run that deadlocks or panics leaves nothing behind.  Accesses
+      outside any run see a value private to that stretch between runs.
+      This is the one place per-run state lives. *)
 
   (** {1 Fault injection} *)
 

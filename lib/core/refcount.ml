@@ -9,9 +9,8 @@ module Make
 struct
   type t = { cell : M.Cell.t; rname : string }
 
-  let checking_flag = Atomic.make true
-  let set_checking b = Atomic.set checking_flag b
-  let checking () = Atomic.get checking_flag
+  let set_checking = Slock.set_checking
+  let checking = Slock.checking
 
   let next_id = Atomic.make 0
 

@@ -44,6 +44,8 @@ module Make
   val name : t -> string
 
   val set_checking : bool -> unit
+  (** The same per-run flag as [Slock.set_checking]. *)
+
   val checking : unit -> bool
 
   (** A hybrid of a reference and a lock (section 8): counts operations in

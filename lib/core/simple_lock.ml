@@ -28,11 +28,17 @@ module Make (M : Machine_intf.MACHINE) = struct
     mutable acquired_at : int; (* cycle clock at acquisition *)
   }
 
-  let checking_flag = Atomic.make true
-  let uniprocessor = Atomic.make false
-  let set_checking b = Atomic.set checking_flag b
-  let checking () = Atomic.get checking_flag
-  let set_uniprocessor b = Atomic.set uniprocessor b
+  (* Debug checking and the uniprocessor build are properties of the
+     running machine: a run that stands checking down (the section-7
+     buggy variants) leaves the next run checking. *)
+  type mode = { mutable checking : bool; mutable uniprocessor : bool }
+
+  let mode =
+    M.machine_local (fun () -> { checking = true; uniprocessor = false })
+
+  let set_checking b = (mode ()).checking <- b
+  let checking () = (mode ()).checking
+  let set_uniprocessor b = (mode ()).uniprocessor <- b
 
   let next_id = Atomic.make 0
 
@@ -64,8 +70,7 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Flat { protocol; _ } -> Spin.protocol_name protocol
     | Queued q -> Lock_proto.proto_name q
 
-  let bump_held delta =
-    let self = M.self () in
+  let bump_held self delta =
     let k = Tls_key.simple_locks_held in
     M.tls_set self ~key:k (M.tls_get self ~key:k + delta)
 
@@ -84,34 +89,35 @@ module Make (M : Machine_intf.MACHINE) = struct
   (* The holder is tracked whether or not checking is on: blocked-by
      attribution reads it, and the views must agree in the section-7
      buggy variants that stand checking down. *)
-  let note_acquired t =
+  let note_acquired t m =
+    let self = M.self () in
     t.acquired_at <- M.now_cycles ();
-    t.holder <- Some (M.self ());
+    t.holder <- Some self;
     t.last_holder <- t.holder;
-    if checking () then begin
+    if m.checking then begin
       check_spl t;
-      bump_held 1
+      bump_held self 1
     end
 
-  let note_released t =
-    if checking () then begin
+  let note_released t m =
+    if m.checking then begin
+      let self = M.self () in
       (match t.holder with
-      | Some h when M.equal_thread h (M.self ()) -> ()
+      | Some h when M.equal_thread h self -> ()
       | Some h ->
           M.fatal
             (Printf.sprintf "simple lock %s: unlocked by %s but held by %s"
-               t.lname
-               (M.thread_name (M.self ()))
-               (M.thread_name h))
+               t.lname (M.thread_name self) (M.thread_name h))
       | None ->
           M.fatal (Printf.sprintf "simple lock %s: unlock while free" t.lname));
-      bump_held (-1)
+      bump_held self (-1)
     end;
     t.holder <- None
 
   let lock t =
-    if not (Atomic.get uniprocessor) then begin
-      (if checking () then
+    let m = mode () in
+    if not m.uniprocessor then begin
+      (if m.checking then
          match t.holder with
          | Some h when M.equal_thread h (M.self ()) ->
              M.fatal
@@ -147,7 +153,7 @@ module Make (M : Machine_intf.MACHINE) = struct
         | None -> None
       in
       P.acquired ?blocker t.site ~spins ~wait_cycles;
-      note_acquired t
+      note_acquired t m
     end
 
   let release_impl = function
@@ -155,14 +161,16 @@ module Make (M : Machine_intf.MACHINE) = struct
     | Queued q -> Lock_proto.release q
 
   let unlock t =
-    if not (Atomic.get uniprocessor) then begin
+    let m = mode () in
+    if not m.uniprocessor then begin
       let held_cycles = max 0 (M.now_cycles () - t.acquired_at) in
-      note_released t;
+      note_released t m;
       P.released_by t.site ~held_cycles release_impl t.impl
     end
 
   let try_lock t =
-    if Atomic.get uniprocessor then true
+    let m = mode () in
+    if m.uniprocessor then true
     else begin
       let ok =
         match t.impl with
@@ -172,7 +180,7 @@ module Make (M : Machine_intf.MACHINE) = struct
       Lock_stats.record_try t.site.stats ~success:ok;
       if ok then begin
         P.acquired t.site ~spins:0 ~wait_cycles:0;
-        note_acquired t
+        note_acquired t m
       end;
       ok
     end

@@ -66,13 +66,15 @@ module Make (M : Machine_intf.MACHINE) : sig
       acquisitions of two same-type locks "by address" (section 5). *)
 
   val set_checking : bool -> unit
-  (** Globally enable/disable debug checking (holder tracking, same-spl
-      rule, unlock-by-holder).  Default: enabled. *)
+  (** Enable/disable debug checking (holder tracking, same-spl rule,
+      unlock-by-holder, and the refcount and event rules that consult
+      {!checking}) for the running machine: on the simulator, for the
+      current run only.  Default: enabled. *)
 
   val checking : unit -> bool
 
   val set_uniprocessor : bool -> unit
   (** When true, lock/unlock become no-ops — the analog of compiling simple
       locks out of uniprocessor kernels via the declaration macro
-      (Appendix A).  Default: false. *)
+      (Appendix A).  Scoped like {!set_checking}.  Default: false. *)
 end

@@ -6,8 +6,4 @@ module Make (M : Machine_intf.MACHINE) = struct
   module Ref = Refcount.Make (M) (Slock) (Ev)
   module Order = Lock_order.Make (M) (Slock)
   module Sp = Spin.Make (M)
-
-  let set_checking b =
-    Slock.set_checking b;
-    Ref.set_checking b
 end

@@ -64,8 +64,6 @@ let reset () =
   Hashtbl.reset s.holds;
   Hashtbl.reset s.last_event
 
-let () = Run_reset.register reset
-
 let note_wait ~tid ~tname res =
   let s = st () in
   let cur = Option.value ~default:[] (Hashtbl.find_opt s.waits tid) in

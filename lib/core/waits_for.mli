@@ -4,8 +4,8 @@
     Tracking is off by default; when off, every [note_*] call site is
     expected to skip the call after checking {!tracking} (one
     domain-local read).  All edge state is domain-local so parallel seed
-    sweeps do not see each other's edges; {!reset} (registered with
-    {!Run_reset}) clears it between runs. *)
+    sweeps do not see each other's edges; the engine, which consumes
+    them, calls {!reset} as each run starts and ends. *)
 
 type resource =
   | Slock of { uid : int; name : string }

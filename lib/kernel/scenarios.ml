@@ -14,8 +14,6 @@ let interrupt_barrier_scenario ~disciplined () =
   (* The same-spl rule is exactly what the buggy variant violates; its
      checker must stand down so we can observe the consequence. *)
   if not disciplined then K.Slock.set_checking false;
-  Fun.protect ~finally:(fun () -> K.Slock.set_checking true)
-  @@ fun () ->
   let lock = K.Slock.make ~name:"the-lock" () in
   let p1_has_lock = Engine.Cell.make ~name:"p1-has-lock" 0 in
   let p2_spinning = Engine.Cell.make ~name:"p2-spinning" 0 in
@@ -94,8 +92,6 @@ let same_spl_holder ~disciplined () =
   if Engine.cpu_count () < 2 then
     invalid_arg "same_spl_holder: needs at least 2 cpus";
   if not disciplined then K.Slock.set_checking false;
-  Fun.protect ~finally:(fun () -> K.Slock.set_checking true)
-  @@ fun () ->
   let lock = K.Slock.make ~name:"vm-lock" () in
   let held = Engine.Cell.make ~name:"held" 0 in
   let posted = Engine.Cell.make ~name:"posted" 0 in

@@ -16,8 +16,8 @@
    to a spans-off run (pinned by the determinism tests).
 
    The engine installs the clock/identity callbacks at run start and
-   latches a frozen [view] at run end, before the [Run_reset] hook wipes
-   the live tables — so post-run reporting ([machsim report], bench E18)
+   latches a frozen [view] at run end, before [reset] wipes the
+   live tables — so post-run reporting ([machsim report], bench E18)
    reads [last] while in-run post-mortems (the deadlock flight dump) read
    [current]. *)
 
@@ -123,9 +123,9 @@ let set_enabled b = (st ()).on <- b
 let install c = (st ()).sctx <- c
 let enabled () = let s = st () in s.on && s.sctx <> None
 
-(* Clears the per-run tables only: the enabled gate and callbacks belong
-   to the engine's run lifecycle, not to the [Run_reset] hook (which also
-   fires at run *setup*, after the engine has installed itself). *)
+(* Clears the per-run tables only: the enabled gate and callbacks are
+   set by the engine around the reset, which it also calls at run
+   *setup*, after installing itself. *)
 let reset () =
   let s = st () in
   Hashtbl.reset s.sites;

@@ -15,7 +15,7 @@
     schedule- and stats-identical to a spans-off run.
 
     Post-run readers use the {!view} the engine {!latch}es at run end
-    (before the [Run_reset] hook clears the live tables); in-run
+    (before the engine's {!reset} clears the live tables); in-run
     post-mortems (the deadlock flight dump) read {!current}. *)
 
 type kind = Lock | Event | Ipc | Vm
@@ -113,15 +113,15 @@ val current : unit -> view
 
 val latch : unit -> unit
 (** Freeze {!current} as the last-run view; the engine calls this at run
-    end, before [Run_reset] clears the live tables. *)
+    end, before {!reset} clears the live tables. *)
 
 val last : unit -> view option
 (** The view latched at the end of the most recent run, if any. *)
 
 val reset : unit -> unit
 (** Clear the live tables (sites, stacks, edges, flight rings); the
-    engine registers this with [Run_reset].  Gates and the latched view
-    are left alone. *)
+    engine calls this as each run starts and ends.  Gates and the latched
+    view are left alone. *)
 
 (** {1 Rendering} *)
 

@@ -91,6 +91,17 @@ val running : unit -> bool
 (** True between boot and completion of {!run} (i.e. inside a fiber or the
     scheduler). *)
 
+type generation
+
+val generation : unit -> generation
+(** This domain's run generation.  {!run} bumps it as it boots and again
+    as it tears down (also when the run deadlocks or panics), so each run
+    and each stretch between two runs has a generation no other shares.
+    [Sim_machine.machine_local] scopes its state by it. *)
+
+val current : generation -> int
+(** The generation's present value. *)
+
 (** {1 Threads} *)
 
 val spawn : ?name:string -> ?bound:int -> (unit -> unit) -> thread

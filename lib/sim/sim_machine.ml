@@ -33,8 +33,28 @@ let tls_set = Sim_engine.tls_set
 let handoff_fault = Sim_engine.handoff_fault
 let fatal = Sim_engine.fatal
 
-(* One domain hosts at most one simulation at a time, and concurrent
-   explorations in other domains must not share machine state. *)
+(* One value per run generation: built at the first access of a run,
+   seen by that run only, and left behind when the next generation
+   starts.  Domain-local, so concurrent explorations in other domains
+   never share it.  Each domain's slot keeps a handle on that domain's
+   generation, so an access costs one domain-local lookup. *)
+type 'a slot = {
+  run : Sim_engine.generation; (* this domain's run generation *)
+  mutable built_in : int; (* the generation [value] was built in *)
+  mutable value : 'a;
+}
+
 let machine_local init =
-  let key = Domain.DLS.new_key init in
-  fun () -> Domain.DLS.get key
+  let key =
+    Domain.DLS.new_key (fun () ->
+        let run = Sim_engine.generation () in
+        { run; built_in = Sim_engine.current run; value = init () })
+  in
+  fun () ->
+    let s = Domain.DLS.get key in
+    let g = Sim_engine.current s.run in
+    if s.built_in <> g then begin
+      s.value <- init ();
+      s.built_in <- g
+    end;
+    s.value

@@ -10,33 +10,35 @@ let h_round_trip = Obs_metrics.histogram "tlb.shootdown_cycles"
 
 let max_cpus = 64
 
-(* Per-cpu count of threads attempting/holding pmap locks.  Only the
-   owning cpu updates its slot (pmap code runs at splvm, so it cannot be
-   preempted off the cpu mid-update).  The array is domain-local: the
-   "cpus" are one simulator engine's virtual cpus, and engines in other
-   domains (parallel seed sweeps) have their own counts. *)
-let critical_key : int array Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Array.make max_cpus 0)
+(* Per-cpu count of threads attempting/holding pmap locks, and the
+   shootdowns performed, of the running simulation: a run that deadlocks
+   inside a pmap critical section leaves no cpu critical in the next
+   run.  Only the owning cpu updates its slot (pmap code runs at splvm,
+   so it cannot be preempted off the cpu mid-update). *)
+type state = { critical : int array; mutable performed : int }
+
+let state =
+  Mach_sim.Sim_machine.machine_local (fun () ->
+      { critical = Array.make max_cpus 0; performed = 0 })
 
 let note_pmap_critical_enter ~cpu =
-  let critical = Domain.DLS.get critical_key in
+  let critical = (state ()).critical in
   critical.(cpu) <- critical.(cpu) + 1
 
 let note_pmap_critical_exit ~cpu =
-  let critical = Domain.DLS.get critical_key in
+  let critical = (state ()).critical in
   if critical.(cpu) <= 0 then
     Engine.fatal "tlb_shootdown: unbalanced pmap-critical exit";
   critical.(cpu) <- critical.(cpu) - 1
 
-let in_pmap_critical ~cpu = (Domain.DLS.get critical_key).(cpu) > 0
+let in_pmap_critical ~cpu = (state ()).critical.(cpu) > 0
 
 (* The initiator's barrier wait is a waits-for edge: if a participant
    cpu never checks in (the section-7 interrupt deadlock), the detector
    closes the cycle through this node instead of showing a silent spin. *)
 let rendezvous = Waits_for.Rendezvous { name = "tlb-shootdown" }
 
-let performed = Atomic.make 0
-let shootdowns_performed () = Atomic.get performed
+let shootdowns_performed () = (state ()).performed
 
 let shootdown ~pmap_id ~targets ~invalidate ~commit =
   ignore pmap_id;
@@ -97,4 +99,5 @@ let shootdown ~pmap_id ~targets ~invalidate ~commit =
   Obs_metrics.observe ~cpu:me h_round_trip cycles;
   if Obs_trace.enabled () then
     Obs_trace.emit (Obs_event.Tlb_shootdown_done { participants = n; cycles });
-  ignore (Atomic.fetch_and_add performed 1)
+  let s = state () in
+  s.performed <- s.performed + 1

@@ -26,6 +26,7 @@ val note_pmap_critical_enter : cpu:int -> unit
 val note_pmap_critical_exit : cpu:int -> unit
 
 val in_pmap_critical : cpu:int -> bool
+(** Whether [cpu] is in a pmap critical section of the current run. *)
 
 val shootdown :
   pmap_id:int ->
@@ -40,4 +41,4 @@ val shootdown :
     pmap-critical ones) run [invalidate ~cpu] on its own cpu. *)
 
 val shootdowns_performed : unit -> int
-(** Cumulative count (diagnostics / benchmarks). *)
+(** This run's count (diagnostics / benchmarks). *)

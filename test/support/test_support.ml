@@ -50,17 +50,15 @@ let wait_until pred =
    module-level [Sim_rng.make] would leak position across [in_sim]
    calls: the second simulation of a test binary would see a different
    draw sequence than the first, so a test's behavior would depend on
-   which tests ran before it.  The engine runs the registered
-   [Run_reset] hook at every run setup/teardown, which reseeds the
-   generator — every simulation sees the same stream. *)
+   which tests ran before it.  Machine-local, it is seeded afresh for
+   every run: every simulation sees the same stream. *)
 let rng_seed = 0x7357
-let test_rng = ref (Mach_sim.Sim_rng.make rng_seed)
 
-let () =
-  Mach_core.Run_reset.register (fun () ->
-      test_rng := Mach_sim.Sim_rng.make rng_seed)
+let test_rng =
+  Mach_sim.Sim_machine.machine_local (fun () ->
+      Mach_sim.Sim_rng.make rng_seed)
 
-let rng_int bound = Mach_sim.Sim_rng.int !test_rng bound
+let rng_int bound = Mach_sim.Sim_rng.int (test_rng ()) bound
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)

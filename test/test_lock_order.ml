@@ -4,7 +4,6 @@
 
 module Engine = Mach_sim.Sim_engine
 module Explore = Mach_sim.Sim_explore
-module Run_reset = Mach_core.Run_reset
 module K = Mach_ksync.Ksync
 
 let check_int = Alcotest.(check int)
@@ -64,7 +63,7 @@ let test_release_not_held () =
       K.Order.clear_violations ())
 
 (* A stale stack from a previous run must not produce phantom violations
-   in the next one: the Run_reset hook clears every thread's stack. *)
+   in the next one: held stacks belong to the run that pushed them. *)
 let test_per_run_reset () =
   in_sim (fun () ->
       K.Order.clear_violations ();
@@ -77,19 +76,6 @@ let test_per_run_reset () =
       K.Order.note_release low;
       check_int "no phantom violation from the previous run" 0
         (List.length (K.Order.violations ()));
-      K.Order.clear_violations ())
-
-let test_reset_held_direct () =
-  in_sim (fun () ->
-      K.Order.clear_violations ();
-      let high = K.Order.define_class ~name:"h" ~rank:5 in
-      let low = K.Order.define_class ~name:"l" ~rank:1 in
-      K.Order.note_acquire high;
-      K.Order.reset_held ();
-      K.Order.note_acquire low;
-      check_int "reset cleared the held stack" 0
-        (List.length (K.Order.violations ()));
-      K.Order.note_release low;
       K.Order.clear_violations ())
 
 let test_lock_both_by_uid_orders () =
@@ -182,7 +168,6 @@ let () =
             test_deep_stack_violation;
           Alcotest.test_case "release not held" `Quick test_release_not_held;
           Alcotest.test_case "per-run reset" `Quick test_per_run_reset;
-          Alcotest.test_case "reset_held direct" `Quick test_reset_held_direct;
         ] );
       ( "pairs and backout",
         [

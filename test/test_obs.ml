@@ -664,7 +664,7 @@ let test_views_agree () =
 
 (* Cross-run leak regression (the PR-4 Event-registry bug shape): a
    second identical run must latch an identical view, not a doubled
-   one — Run_reset really clears the live span tables between runs. *)
+   one — the engine really clears the live span tables between runs. *)
 let test_spans_reset_between_runs () =
   let v1 = run_contention_spans () in
   let v2 = run_contention_spans () in

@@ -106,6 +106,30 @@ let test_sleep_deadlock_detected () =
         (contains report "parked")
   | _ -> Alcotest.fail "expected a sleep deadlock"
 
+(* Machine-local state belongs to one run: built at its first access
+   there and seen by no other run, even when the run deadlocks.  Outside
+   every run, an access sees a value private to that stretch between
+   runs. *)
+let test_machine_local_per_run () =
+  let count = Mach_sim.Sim_machine.machine_local (fun () -> ref 0) in
+  incr (count ());
+  check_int "outside a run: its own value" 1 !(count ());
+  ignore
+    (Engine.run (fun () ->
+         check_int "a run starts fresh" 0 !(count ());
+         incr (count ())));
+  check_int "after the run: fresh again" 0 !(count ());
+  (match
+     Engine.run_outcome (fun () ->
+         incr (count ());
+         Engine.park ())
+   with
+  | Engine.Deadlocked _ -> ()
+  | _ -> Alcotest.fail "expected a sleep deadlock");
+  ignore
+    (Engine.run (fun () ->
+         check_int "a deadlocked run leaves nothing" 0 !(count ())))
+
 let test_spin_deadlock_detected () =
   (* Two threads spin forever on cells that never change. *)
   let outcome =
@@ -608,6 +632,8 @@ let () =
         [
           Alcotest.test_case "sleep deadlock detected" `Quick
             test_sleep_deadlock_detected;
+          Alcotest.test_case "machine-local state per run" `Quick
+            test_machine_local_per_run;
           Alcotest.test_case "spin deadlock detected" `Quick
             test_spin_deadlock_detected;
         ] );

@@ -155,15 +155,32 @@ let test_contention_counted () =
 let test_uniprocessor_mode () =
   in_sim (fun () ->
       K.Slock.set_uniprocessor true;
-      Fun.protect
-        ~finally:(fun () -> K.Slock.set_uniprocessor false)
-        (fun () ->
-          let l = K.Slock.make () in
-          (* Defined out: lock/unlock are no-ops, try always succeeds. *)
-          K.Slock.lock l;
-          K.Slock.lock l;
-          check_bool "try under up mode" true (K.Slock.try_lock l);
-          K.Slock.unlock l))
+      let l = K.Slock.make () in
+      (* Defined out: lock/unlock are no-ops, try always succeeds. *)
+      K.Slock.lock l;
+      K.Slock.lock l;
+      check_bool "try under up mode" true (K.Slock.try_lock l);
+      K.Slock.unlock l)
+
+(* The buggy section 7 barrier stands checking down and deadlocks without
+   reaching the end of its scenario; the next run must still check. *)
+let test_checking_scoped_to_run () =
+  (match
+     Explore.find_first_deadlock ~cpus:3 ~max_seeds:60
+       (Mach_kernel.Scenarios.interrupt_barrier_scenario ~disciplined:false)
+   with
+  | Some _ -> ()
+  | None -> Alcotest.fail "the buggy barrier must deadlock");
+  match
+    Engine.run_outcome (fun () ->
+        let l = K.Slock.make ~name:"relocked" () in
+        K.Slock.lock l;
+        K.Slock.lock l)
+  with
+  | Engine.Panicked msg ->
+      check_bool "recursion caught" true
+        (contains msg "recursive acquisition")
+  | _ -> Alcotest.fail "re-locking a held simple lock must panic"
 
 let test_lock_both_by_uid_no_deadlock () =
   (* Two threads locking the same pair in opposite argument orders must
@@ -301,6 +318,8 @@ let () =
             test_same_spl_rule_enforced;
           Alcotest.test_case "spl pin at creation" `Quick
             test_spl_pinned_at_creation;
+          Alcotest.test_case "checking is per run" `Quick
+            test_checking_scoped_to_run;
         ] );
       ( "exploration",
         [

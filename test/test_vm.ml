@@ -161,6 +161,25 @@ let test_shootdown_skips_pmap_critical_cpu () =
   in
   check_bool "no schedule deadlocks" true (Explore.all_completed v)
 
+(* A run that deadlocks inside a pmap critical section must leave no cpu
+   critical in the next run, whose shootdowns would otherwise drop that
+   cpu from the barrier. *)
+let test_pmap_critical_scoped_to_run () =
+  (match
+     Engine.run_outcome (fun () ->
+         let stuck =
+           Engine.spawn ~name:"stuck" ~bound:1 (fun () ->
+               Vm.Tlb_shootdown.note_pmap_critical_enter ~cpu:1;
+               Engine.park ())
+         in
+         Engine.join stuck)
+   with
+  | Engine.Deadlocked _ -> ()
+  | _ -> Alcotest.fail "the stuck run must deadlock");
+  in_sim (fun () ->
+      check_bool "cpu 1 not pmap-critical" false
+        (Vm.Tlb_shootdown.in_pmap_critical ~cpu:1))
+
 (* ------------------------------------------------------------------ *)
 (* pv lists and the pmap system lock                                    *)
 (* ------------------------------------------------------------------ *)
@@ -507,9 +526,9 @@ let test_range_deadlock_names_ranges () =
    disabled the only trap still armed is the refcount underflow one, so
    completing cleanly proves no double release hides in the pairing. *)
 let test_terminate_release_pairing_balanced () =
-  K.Ref.set_checking false;
   let outcome =
     Engine.run_outcome (fun () ->
+        K.Ref.set_checking false;
         List.iter
           (fun locking ->
             let ctx = mk_ctx () in
@@ -526,7 +545,6 @@ let test_terminate_release_pairing_balanced () =
             Vm.Vm_map.release map)
           [ Vm.Vm_map.Coarse; Vm.Vm_map.Range ])
   in
-  K.Ref.set_checking true;
   match outcome with
   | Engine.Completed _ -> ()
   | Engine.Panicked msg -> Alcotest.failf "unbalanced pairing: %s" msg
@@ -535,16 +553,15 @@ let test_terminate_release_pairing_balanced () =
 (* The regression half: an actual double release must still panic with
    checking disabled — underflow detection is not debug-only. *)
 let test_double_release_trapped_unconditionally () =
-  K.Ref.set_checking false;
   let outcome =
     Engine.run_outcome (fun () ->
+        K.Ref.set_checking false;
         let pool = Vm.Vm_page.create ~pages:4 () in
         let obj = Vm.Vm_object.create ~pool ~size:2 () in
         Vm.Vm_object.terminate obj;
         Vm.Vm_object.release obj;
         Vm.Vm_object.release obj)
   in
-  K.Ref.set_checking true;
   match outcome with
   | Engine.Panicked msg ->
       check_bool "underflow trapped" true (contains msg "double free")
@@ -569,6 +586,8 @@ let () =
             test_shootdown_requires_splvm;
           Alcotest.test_case "pmap-critical special logic" `Slow
             test_shootdown_skips_pmap_critical_cpu;
+          Alcotest.test_case "pmap-critical state per run" `Quick
+            test_pmap_critical_scoped_to_run;
         ] );
       ( "pv lists + system lock",
         [
