@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all check probe-guard state-guard build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
+.PHONY: all check probe-guard state-guard scenario-guard build test bench perf perf-smoke perf-gate perf-gate-selftest perf-reference trace-smoke report-smoke chaos-smoke mc-smoke vm-smoke cache-smoke rpc-smoke smoke-all clean
 
 all: build
 
@@ -10,9 +10,9 @@ build:
 test:
 	dune runtest
 
-# The tier-1 gate: the one-path and per-run-state guards, then build
-# everything and run every test suite.
-check: probe-guard state-guard
+# The tier-1 gate: the one-path, per-run-state and one-workload guards,
+# then build everything and run every test suite.
+check: probe-guard state-guard scenario-guard
 	dune build
 	dune runtest
 
@@ -52,6 +52,24 @@ state-guard:
 		echo "$$bad"; exit 1; \
 	fi
 	@echo "state-guard passed"
+
+# Each named simulated workload is written once, in lib/ (mostly
+# lib/kernel/scenarios.ml): machsim under bin/ spawns no simulated thread
+# of its own, and nothing outside lib/ starts the pageout daemon (the
+# section 7.1 race against it is Scenarios.pageout).
+scenario-guard:
+	@bad=$$(grep -rnE 'Engine\.spawn|Sim_engine\.spawn' --include='*.ml' bin); \
+	if [ -n "$$bad" ]; then \
+		echo "simulated threads spawned under bin/ (write the workload in lib/):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@bad=$$(grep -rn --include='*.ml' --exclude-dir=_build \
+		'Vm_pageout\.start_daemon' . | grep -v '^\./lib/'); \
+	if [ -n "$$bad" ]; then \
+		echo "pageout daemon started outside lib/ (call Scenarios.pageout):"; \
+		echo "$$bad"; exit 1; \
+	fi
+	@echo "scenario-guard passed"
 
 bench:
 	dune exec bench/main.exe

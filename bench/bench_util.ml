@@ -26,10 +26,6 @@ let sim_run ?(cpus = 8) ?(seed = 3) ?(tweak = Fun.id) f =
   let cfg = tweak { (Config.bench ~cpus ()) with Config.seed } in
   Engine.run ~cfg f
 
-(* Spawn [worker k] for k = 0..n-1, then wait for every one. *)
-let spawn_join n worker =
-  List.iter Engine.join (List.init n (fun k -> Engine.spawn (worker k)))
-
 let f1 x = Printf.sprintf "%.1f" x
 let f2 x = Printf.sprintf "%.2f" x
 let i = string_of_int

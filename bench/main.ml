@@ -18,7 +18,6 @@ module Stats = Mach_core.Lock_stats
 module K = Mach_ksync.Ksync
 module Vm = Mach_vm
 module Scenarios = Mach_kernel.Scenarios
-module Kernel = Mach_kernel.Kernel
 open Bench_util
 
 let cpu_sweep = [ 1; 2; 4; 8; 16 ]
@@ -107,7 +106,7 @@ module E1 = struct
       | Some c -> { cfg with Config.spin_max_backoff = c }
       | None -> cfg
     in
-    sim_run ~cpus ~tweak (Workloads.contention ~name:"l" ~protocol ~iters:30)
+    sim_run ~cpus ~tweak (Scenarios.contention ~name:"l" ~protocol ~iters:30)
 
   let tuned_cap = 128
 
@@ -152,7 +151,7 @@ module E2 = struct
               Engine.pause ()
             done
           in
-          spawn_join cpus (fun _ -> worker);
+          Scenarios.spawn_join cpus (fun _ -> worker);
           stats := Some (K.Slock.stats lock))
     in
     (s, Option.get !stats)
@@ -243,7 +242,7 @@ module E4 = struct
               end
             done
           in
-          spawn_join cpus worker)
+          Scenarios.spawn_join cpus worker)
     in
     (s, !max_writer_wait)
 
@@ -311,7 +310,7 @@ module E5 = struct
               end
             done
           in
-          spawn_join cpus (fun _ -> worker))
+          Scenarios.spawn_join cpus (fun _ -> worker))
     in
     (s, !failed)
 
@@ -364,27 +363,6 @@ module E6 = struct
       [ "recursive re-acquire/release"; i (acquisition ~recursive:true) ];
     ]
 
-  let pageable_scenario ~use_recursive () =
-    let ctx = Vm.Vm_map.make_context ~pages:4 () in
-    let map = Vm.Vm_map.create ctx in
-    let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-    for idx = 0 to 2 do
-      match Vm.Vm_fault.fault map ~va:(reclaimable + idx) with
-      | Ok _ -> ()
-      | Error _ -> Engine.fatal "populate failed"
-    done;
-    let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-    let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-    let wire =
-      if use_recursive then Vm.Vm_pageable.wire_recursive
-      else Vm.Vm_pageable.wire_rewritten
-    in
-    (match wire map ~va:wired_va ~pages:3 with
-    | Ok () -> ()
-    | Error _ -> Engine.fatal "wire failed");
-    Vm.Vm_pageout.stop_daemon daemon;
-    Vm.Vm_map.release map
-
   let run () =
     section ~id:"E6" ~title:"recursive locking: cost and the 7.1 deadlock"
       ~claim:
@@ -395,8 +373,8 @@ module E6 = struct
     printf "\nvm_map_pageable under memory pressure, 30 schedules each:\n";
     verdict_table "implementation" ~seeds:30
       [
-        ("recursive (paper's original)", pageable_scenario ~use_recursive:true);
-        ("rewritten (Mach 3.0, s.7.1)", pageable_scenario ~use_recursive:false);
+        ("recursive (paper's original)", Scenarios.pageout ~recursive:true);
+        ("rewritten (Mach 3.0, s.7.1)", Scenarios.pageout ~recursive:false);
       ]
 end
 
@@ -483,7 +461,7 @@ module E8 = struct
     let s =
       sim_run ~cpus (fun () ->
           let r = K.Ref.make () in
-          spawn_join cpus (fun _ () ->
+          Scenarios.spawn_join cpus (fun _ () ->
               for _ = 1 to ops do
                 K.Ref.clone r;
                 ignore (K.Ref.release r)
@@ -508,16 +486,11 @@ end
 (* ================================================================== *)
 
 module E9 = struct
-  (* Boot a kernel, run [clients] x [calls_each] null RPCs, shut down
-     (also E18's rpc workload). *)
-  let null_rpc ~pages ~clients ~calls_each () =
-    let kernel = Kernel.start ~pages () in
-    Scenarios.null_rpc_workload kernel ~clients ~calls_each;
-    Kernel.shutdown kernel
-
   let rpc_sweep clients =
     let calls = 20 in
-    let s = sim_run ~cpus:8 (null_rpc ~pages:32 ~clients ~calls_each:calls) in
+    let s =
+      sim_run ~cpus:8 (Scenarios.null_rpc ~pages:32 ~clients ~calls_each:calls)
+    in
     (s.Engine.makespan, s.Engine.makespan / (clients * calls))
 
   let run () =
@@ -544,40 +517,7 @@ module E10 = struct
   let shootdown_cost participants =
     let removals = 10 in
     let s =
-      sim_run ~cpus:(participants + 1) (fun () ->
-          let pm = Vm.Pmap.create () in
-          (* victims: threads on other cpus spinning at spl0, pmap active *)
-          let stop = Engine.Cell.make 0 in
-          let victims =
-            List.init participants (fun k ->
-                let cpu = k + 1 in
-                Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-                  (fun () ->
-                    Vm.Pmap.activate pm ~cpu;
-                    Engine.spin_hint "stop";
-                    while Engine.Cell.get stop = 0 do
-                      Engine.pause ()
-                    done))
-          in
-          (* the initiator is pinned to cpu0 so it cannot occupy (and
-             starve) a victim's cpu while busy-waiting *)
-          let initiator =
-            Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-                for j = 0 to removals - 1 do
-                  Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j
-                    ~prot:Vm.Tlb.Read_write
-                done;
-                Engine.spin_hint "activation";
-                while List.length (Vm.Pmap.active_cpus pm) < participants do
-                  Engine.pause ()
-                done;
-                for j = 0 to removals - 1 do
-                  ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-                done;
-                Engine.Cell.set stop 1)
-          in
-          Engine.join initiator;
-          List.iter Engine.join victims)
+      sim_run ~cpus:(participants + 1) (Scenarios.shootdown ~removals)
     in
     (s.Engine.makespan / removals, s.Engine.interrupts_delivered)
 
@@ -690,7 +630,8 @@ module E12 = struct
               Engine.cycles 100
             done
           in
-          spawn_join cpus (fun k -> if k mod 4 = 0 then reverse else forward))
+          Scenarios.spawn_join cpus (fun k ->
+              if k mod 4 = 0 then reverse else forward))
     in
     (s, !retries)
 
@@ -998,7 +939,7 @@ module E15 = struct
     @ List.map (fun f -> (Lock_proto.name f, (None, Some f))) K.Locks.all
 
   let mutex_workload (protocol, proto) cpus =
-    sim_run ~cpus (Workloads.contention ?protocol ?proto ~name:"l" ~iters)
+    sim_run ~cpus (Scenarios.contention ?protocol ?proto ~name:"l" ~iters)
 
   (* Read-mostly workload (~5% writes): big-reader lock vs the complex
      readers/writer lock vs a plain ttas mutex. *)
@@ -1041,7 +982,7 @@ module E15 = struct
               let lock () = K.Slock.lock l in
               locked ~rd:lock ~wr:lock ~unlock:(fun () -> K.Slock.unlock l)
         in
-        spawn_join cpus worker)
+        Scenarios.spawn_join cpus worker)
 
   let crossover_cols =
     Bench_rows.
@@ -1185,7 +1126,7 @@ module E18 = struct
      (event-wait spans), and E15's 64-cpu ttas point (the scale the
      acceptance run uses). *)
   let ttas_hammer ~iters () =
-    Workloads.contention ~protocol:Spin.Ttas ~name:"contended" ~iters ()
+    Scenarios.contention ~protocol:Spin.Ttas ~name:"contended" ~iters ()
 
   (* The handoff row runs under the random policy (as E13's chaos sweeps
      do): under Timed the consumer is dispatched after the producer's
@@ -1199,7 +1140,8 @@ module E18 = struct
       ("e1-ttas-16cpu", 16, timed, ttas_hammer ~iters:30);
       ("e13-handoff-4cpu", 4, random, Cs.lost_wakeup_handoff);
       ("e15-ttas-64cpu", 64, timed, ttas_hammer ~iters:12);
-      ("rpc-4cpu", 4, timed, E9.null_rpc ~pages:64 ~clients:4 ~calls_each:10);
+      ( "rpc-4cpu", 4, timed,
+        Scenarios.null_rpc ~pages:64 ~clients:4 ~calls_each:10 );
     ]
 
   let run () =

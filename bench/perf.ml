@@ -23,7 +23,8 @@ module Mc = Mach_mc.Mc
 
 (* E1's contention loop on a ttas lock, at the machine's cpu count. *)
 let e1_scenario ~iters =
-  Workloads.contention ~protocol:Mach_core.Spin.Ttas ~name:"e1" ~iters
+  Mach_kernel.Scenarios.contention ~protocol:Mach_core.Spin.Ttas ~name:"e1"
+    ~iters
 
 (* A row's BENCH_sim_perf.json object, also printed as one line of
    key=value pairs. *)

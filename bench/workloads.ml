@@ -2,26 +2,8 @@
    perf harness (perf.ml) share.  Each is defined once, so a perf row
    and the experiment it gates run the same simulated run. *)
 
-module K = Mach_ksync.Ksync
 module Scenarios = Mach_kernel.Scenarios
 open Bench_util
-
-(* E1's contention loop: every cpu runs [iters] rounds of take the lock,
-   update four shared cells (so spin bus traffic delays useful work),
-   hold 20 cycles, release.  E15 runs it at 64 cpus over the queue
-   locks, E18 traces it and perf.ml times the engine on it. *)
-let contention ?protocol ?proto ~name ~iters () =
-  let lock = K.Slock.make ~name ?protocol ?proto () in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
-  let worker () =
-    for _ = 1 to iters do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  spawn_join (Engine.cpu_count ()) (fun _ -> worker)
 
 (* E16: each thread owns a disjoint slice of one map and allocates,
    faults and deallocates it (Scenarios.vm_fault_storm).  Light per

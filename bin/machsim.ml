@@ -19,8 +19,6 @@ module Obs_profile = Mach_obs.Obs_profile
 module Obs_span = Mach_obs.Obs_span
 module Obs_cp = Mach_obs.Obs_critical_path
 module Scenarios = Mach_kernel.Scenarios
-module Kernel = Mach_kernel.Kernel
-module Ksync = Mach_ksync.Ksync
 module Vm = Mach_vm
 open Cmdliner
 
@@ -28,98 +26,14 @@ open Cmdliner
 (* Scenario registry                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let pageable_scenario ~use_recursive () =
-  let ctx = Vm.Vm_map.make_context ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for i = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + i) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  let wire =
-    if use_recursive then Vm.Vm_pageable.wire_recursive
-    else Vm.Vm_pageable.wire_rewritten
-  in
-  (match wire map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
-
-(* TLB shootdown barrier (adapted from bench E10): victims on every other
-   cpu activate the pmap and spin at spl0; the initiator's removals must
-   rendezvous with all of them at interrupt level. *)
-let shootdown_scenario () =
-  let pm = Vm.Pmap.create () in
-  (* On a uniprocessor there is nobody to shoot down: the removals still
-     run (local invalidates only) rather than waiting forever for a victim
-     that can never be dispatched. *)
-  let participants = max 0 (Engine.cpu_count () - 1) in
-  let removals = 8 in
-  let stop = Engine.Cell.make 0 in
-  let victims =
-    List.init participants (fun k ->
-        let cpu = k + 1 in
-        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-          (fun () ->
-            Vm.Pmap.activate pm ~cpu;
-            Engine.spin_hint "stop";
-            while Engine.Cell.get stop = 0 do
-              Engine.pause ()
-            done))
-  in
-  let initiator =
-    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-        for j = 0 to removals - 1 do
-          Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Vm.Tlb.Read_write
-        done;
-        Engine.spin_hint "activation";
-        while List.length (Vm.Pmap.active_cpus pm) < participants do
-          Engine.pause ()
-        done;
-        for j = 0 to removals - 1 do
-          ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-        done;
-        Engine.Cell.set stop 1)
-  in
-  Engine.join initiator;
-  List.iter Engine.join victims
-
 let scenarios : (string * (string * (unit -> unit))) list =
   [
     ( "rpc",
       ( "boot the kernel; 4 clients make null RPCs to the host port",
-        fun () ->
-          let kernel = Kernel.start ~pages:64 () in
-          Scenarios.null_rpc_workload kernel ~clients:4 ~calls_each:25;
-          Kernel.shutdown kernel ) );
+        Scenarios.null_rpc ~pages:64 ~clients:4 ~calls_each:25 ) );
     ( "task-lifecycle",
       ( "create tasks over RPC, allocate+wire memory, terminate them",
-        fun () ->
-          let kernel = Kernel.start ~pages:128 () in
-          let ports =
-            List.init 4 (fun _ ->
-                match Kernel.rpc_task_create kernel with
-                | Ok p -> p
-                | Error e -> Engine.fatal e)
-          in
-          List.iter
-            (fun p ->
-              (match Kernel.rpc_vm_allocate p ~size:8 with
-              | Ok va -> (
-                  match Kernel.rpc_vm_wire p ~va ~pages:4 with
-                  | Ok () -> ()
-                  | Error e -> Engine.fatal e)
-              | Error e -> Engine.fatal e);
-              (match Kernel.rpc_task_terminate p with
-              | Ok () -> ()
-              | Error e -> Engine.fatal e);
-              Mach_ipc.Port.release p)
-            ports;
-          Kernel.shutdown kernel ) );
+        Scenarios.task_lifecycle ) );
     ( "coarse",
       ( "object operations under one global kernel lock",
         fun () ->
@@ -138,26 +52,8 @@ let scenarios : (string * (string * (unit -> unit))) list =
     ( "contention",
       ( "every cpu hammers one ttas lock (the E1/E15 workload shape)",
         fun () ->
-          let lock =
-            Ksync.Slock.make ~name:"contended" ~protocol:Mach_core.Spin.Ttas
-              ()
-          in
-          let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-          let ts =
-            List.init
-              (Engine.cpu_count ())
-              (fun _ ->
-                Engine.spawn (fun () ->
-                    for _ = 1 to 10 do
-                      Ksync.Slock.lock lock;
-                      Array.iter
-                        (fun d -> ignore (Engine.Cell.fetch_and_add d 1))
-                        data;
-                      Engine.cycles 20;
-                      Ksync.Slock.unlock lock
-                    done))
-          in
-          List.iter Engine.join ts ) );
+          Scenarios.contention ~protocol:Mach_core.Spin.Ttas ~name:"contended"
+            ~iters:10 () ) );
     ( "interrupt-deadlock",
       ( "the section 7 three-processor barrier deadlock (buggy variant)",
         Scenarios.interrupt_barrier_scenario ~disciplined:false ) );
@@ -166,10 +62,10 @@ let scenarios : (string * (string * (unit -> unit))) list =
         Scenarios.interrupt_barrier_scenario ~disciplined:true ) );
     ( "wire-recursive",
       ( "vm_map_pageable with recursive locks vs pageout (section 7.1 bug)",
-        pageable_scenario ~use_recursive:true ) );
+        Scenarios.pageout ~recursive:true ) );
     ( "wire-rewritten",
       ( "the Mach 3.0 vm_map_pageable rewrite vs pageout (deadlock-free)",
-        pageable_scenario ~use_recursive:false ) );
+        Scenarios.pageout ~recursive:false ) );
     ( "vm-fault",
       ( "disjoint-slice allocate/fault/deallocate storm on a range-locked map",
         fun () -> Scenarios.vm_fault_storm ~locking:Vm.Vm_map.Range () ) );
@@ -187,7 +83,7 @@ let scenarios : (string * (string * (unit -> unit))) list =
         Scenarios.range_abba ) );
     ( "shootdown",
       ( "TLB shootdowns: pmap removals rendezvous with every other cpu",
-        shootdown_scenario ) );
+        fun () -> Scenarios.shootdown () ) );
     ( "same-spl",
       ( "minimal section 7 same-spl rule: holder at interrupt spl (safe)",
         Scenarios.same_spl_holder ~disciplined:true ) );
@@ -255,40 +151,7 @@ let scenarios : (string * (string * (unit -> unit))) list =
     ( "queue-locks",
       ( "one contended critical section per queue-lock protocol \
          (ticket, MCS, Anderson) plus a big-reader read burst",
-        fun () ->
-          let module Lp = Mach_core.Lock_proto in
-          List.iter
-            (fun proto ->
-              let l =
-                Ksync.Slock.make ~name:("ql." ^ Lp.name proto) ~proto ()
-              in
-              let c = Engine.Cell.make ~name:"ql.count" 0 in
-              let ts =
-                List.init
-                  (Engine.cpu_count ())
-                  (fun _ ->
-                    Engine.spawn (fun () ->
-                        for _ = 1 to 5 do
-                          Ksync.Slock.lock l;
-                          ignore (Engine.Cell.fetch_and_add c 1);
-                          Engine.cycles 20;
-                          Ksync.Slock.unlock l
-                        done))
-              in
-              List.iter Engine.join ts)
-            Ksync.Locks.all;
-          let br = Ksync.Locks.Brlock.make ~name:"ql.br" in
-          let ts =
-            List.init
-              (Engine.cpu_count ())
-              (fun _ ->
-                Engine.spawn (fun () ->
-                    for _ = 1 to 5 do
-                      Ksync.Locks.Brlock.with_read br (fun () ->
-                          Engine.cycles 10)
-                    done))
-          in
-          List.iter Engine.join ts ) );
+        Scenarios.queue_locks ) );
   ]
 
 let scenario_names = List.map fst scenarios
@@ -634,25 +497,29 @@ let chaos_cmd =
   in
   let run cpus seeds intensity =
     let ok = ref true in
+    (* Find the first failing seed and require that the detector's report
+       names the hazard ([needle]); [missing] says what it failed to
+       diagnose, [hazard] what no seed produced. *)
+    let expect ~faults ~needle ~missing ~hazard scenario =
+      match
+        Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults scenario
+      with
+      | Some r ->
+          let named = contains r.Chaos.report needle in
+          if not named then ok := false;
+          Format.printf "seed %d: %s%s@.%s@." r.Chaos.seed
+            (Chaos.detection_name r.Chaos.detection)
+            (if named then "" else " (" ^ missing ^ ")")
+            r.Chaos.report
+      | None ->
+          ok := false;
+          Format.printf "no %s within %d seeds@." hazard seeds
+    in
     (* 1. The section 7 interrupt deadlock: no injection needed; the
        detector must close the waits-for cycle. *)
     Format.printf "== section 7 interrupt deadlock (no injection) ==@.";
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:(Fault.mix [])
-         Cs.interrupt_deadlock
-     with
-    | Some r when contains r.Chaos.report "waits-for cycle" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no cycle diagnosed)@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no deadlock within %d seeds@." seeds);
+    expect ~faults:(Fault.mix []) ~needle:"waits-for cycle"
+      ~missing:"no cycle diagnosed" ~hazard:"deadlock" Cs.interrupt_deadlock;
     (* 2. The section 6 lost wakeup: a correct handoff protocol driven
        into a hang by the drop-wakeup injection; the detector must name
        the orphaned waiter.  Prefer the seed whose victim is the event
@@ -682,44 +549,16 @@ let chaos_cmd =
        handoff. *)
     Format.printf "@.== MCS lost handoff (drop-handoff injection) ==@.";
     let droph = Fault.mix ~intensity [ Fault.Drop_handoff ] in
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:droph
-         (fun () -> Cs.mcs_handoff ())
-     with
-    | Some r when contains r.Chaos.report "lost handoff" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no lost handoff diagnosed)@.%s@."
-          r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no lost handoff within %d seeds@." seeds);
+    expect ~faults:droph ~needle:"lost handoff"
+      ~missing:"no lost handoff diagnosed" ~hazard:"lost handoff"
+      (fun () -> Cs.mcs_handoff ());
     (* 2c. Same hazard on the scache RW lock: the writer release grants
        the next FIFO ticket by a single store; dropping it strands the
        queued writer mid-sweep protocol. *)
     Format.printf "@.== scache lost writer handoff (drop-handoff injection) ==@.";
-    (match
-       Chaos.find_first_failure ~cpus ~max_seeds:seeds ~faults:droph
-         (fun () -> Cs.scache_handoff ())
-     with
-    | Some r when contains r.Chaos.report "lost handoff" ->
-        Format.printf "seed %d: %s@.%s@." r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | Some r ->
-        ok := false;
-        Format.printf "seed %d: %s (no lost handoff diagnosed)@.%s@."
-          r.Chaos.seed
-          (Chaos.detection_name r.Chaos.detection)
-          r.Chaos.report
-    | None ->
-        ok := false;
-        Format.printf "no scache lost handoff within %d seeds@." seeds);
+    expect ~faults:droph ~needle:"lost handoff"
+      ~missing:"no lost handoff diagnosed" ~hazard:"scache lost handoff"
+      (fun () -> Cs.scache_handoff ());
     (* 3. Fault-mix minimization: start from every class at once and
        shrink while the first failing seed keeps failing. *)
     Format.printf "@.== first-failure minimization ==@.";

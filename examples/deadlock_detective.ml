@@ -9,10 +9,8 @@
 
    Run with: dune exec examples/deadlock_detective.exe *)
 
-module Engine = Mach_sim.Sim_engine
 module Explore = Mach_sim.Sim_explore
 module Scenarios = Mach_kernel.Scenarios
-module Vm = Mach_vm
 
 let say fmt = Printf.printf (fmt ^^ "\n%!")
 
@@ -31,27 +29,6 @@ let investigate ~culprit ~fix ~buggy ~fixed =
   say "Fixed variant over 100 schedules: %s"
     (Format.asprintf "%a" Explore.pp_verdict v);
   say ""
-
-let pageable_scenario ~use_recursive () =
-  let ctx = Vm.Vm_map.make_context ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for i = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + i) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  let wire =
-    if use_recursive then Vm.Vm_pageable.wire_recursive
-    else Vm.Vm_pageable.wire_rewritten
-  in
-  (match wire map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
 
 let () =
   say "DEADLOCK DETECTIVE -- reproducing the paper's war stories";
@@ -75,6 +52,6 @@ let () =
     ~fix:
       "the Mach 3.0 rewrite: mark entries under the write lock, release\n\
       \  the map completely, fault with no lock held, relock and revalidate"
-    ~buggy:(pageable_scenario ~use_recursive:true)
-    ~fixed:(pageable_scenario ~use_recursive:false);
+    ~buggy:(Scenarios.pageout ~recursive:true)
+    ~fixed:(Scenarios.pageout ~recursive:false);
   say "Case closed."

@@ -2,13 +2,16 @@ module Engine = Mach_sim.Sim_engine
 module K = Mach_ksync.Ksync
 module Kobj = Mach_ksync.Kobj
 module Port = Mach_ipc.Port
+module Port_space = Mach_ipc.Port_space
 
 type t = {
   tobj : Kobj.t; (* the task lock is the kernel-object lock *)
-  tilock : K.Slock.t; (* second lock: ipc translations (section 5) *)
   tmap : Mach_vm.Vm_map.t;
   mutable tport : Port.t option;
-  mutable port_names : (string * Port.t) list; (* under tilock *)
+  (* The port-name table.  Its one shard lock is the second task lock:
+     translations proceed in parallel with task operations under the
+     task lock (section 5). *)
+  port_names : Port_space.t;
   mutable task_threads : thread list; (* under tobj lock *)
   mutable suspends : int;
 }
@@ -29,7 +32,7 @@ let self_port t = t.tport
 let reference t = Kobj.reference t.tobj
 let release t = Kobj.release t.tobj
 let is_active t = Kobj.is_active t.tobj
-let ipc_lock t = t.tilock
+let port_names t = t.port_names
 
 let thread_count t =
   Kobj.with_lock t.tobj (fun () -> List.length t.task_threads)
@@ -42,10 +45,9 @@ let create ?name ctx =
   let t =
     {
       tobj;
-      tilock = K.Slock.make ~name:(tname ^ ".ipc-lock") ();
       tmap = Mach_vm.Vm_map.create ~name:(tname ^ ".map") ctx;
       tport = None;
-      port_names = [];
+      port_names = Port_space.create ~name:(tname ^ ".names") ();
       task_threads = [];
       suspends = 0;
     }
@@ -57,25 +59,6 @@ let create ?name ctx =
   Port.set_object port tobj;
   t.tport <- Some port;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Port-name table: guarded by the ipc lock so translations proceed in
-   parallel with task operations under the task lock (section 5).       *)
-(* ------------------------------------------------------------------ *)
-
-let register_port_name t pname port =
-  Port.reference port;
-  K.Slock.with_lock t.tilock (fun () ->
-      t.port_names <- (pname, port) :: t.port_names)
-
-let lookup_port_name t pname =
-  K.Slock.lock t.tilock;
-  let found = List.assoc_opt pname t.port_names in
-  (* Clone the table's reference under the lock: the table's own
-     reference cannot vanish while we hold the lock (section 8). *)
-  (match found with Some p -> Port.reference p | None -> ());
-  K.Slock.unlock t.tilock;
-  found
 
 (* ------------------------------------------------------------------ *)
 (* Suspension                                                           *)
@@ -217,12 +200,7 @@ let terminate t =
         Port.release port;
         t.tport <- None
     | None -> ());
-    let names = K.Slock.with_lock t.tilock (fun () ->
-        let n = t.port_names in
-        t.port_names <- [];
-        n)
-    in
-    List.iter (fun (_, p) -> Port.release p) names;
+    Port_space.clear t.port_names;
     Mach_vm.Vm_map.release t.tmap;
     (* Step 4: release the reference originally returned by creation;
        final deletion happens when all other references are released. *)

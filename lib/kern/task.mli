@@ -38,16 +38,11 @@ val is_active : t -> bool
 val thread_count : t -> int
 val threads : t -> thread list
 
-val ipc_lock : t -> Mach_ksync.Ksync.Slock.t
-(** The second task lock (port-name translations). *)
-
-val register_port_name : t -> string -> Mach_ipc.Port.t -> unit
-(** Insert into the task's port-name table (under the ipc lock); the
-    table holds a port reference. *)
-
-val lookup_port_name : t -> string -> Mach_ipc.Port.t option
-(** Name-to-port translation: clones the table's port reference under the
-    ipc lock (the section 8 "name to object translation" clone). *)
+val port_names : t -> Mach_ipc.Port_space.t
+(** The task's port-name table: a one-shard {!Mach_ipc.Port_space}, whose
+    shard lock is the second task lock (the ipc lock).  Its lookup clones
+    the table's port reference under that lock (the section 8 "name to
+    object translation" clone). *)
 
 val suspend : t -> (unit, [ `Deactivated ]) result
 val resume : t -> (unit, [ `Deactivated | `Not_suspended ]) result

@@ -3,6 +3,11 @@ module K = Mach_ksync.Ksync
 module Spl = Mach_core.Spl
 module Port = Mach_ipc.Port
 module Mig = Mach_ipc.Mig
+module Vm = Mach_vm
+
+(* Spawn [worker k] for k = 0..n-1, then wait for every one. *)
+let spawn_join n worker =
+  List.iter Engine.join (List.init n (fun k -> Engine.spawn (worker k)))
 
 (* ------------------------------------------------------------------ *)
 (* The section 7 three-processor interrupt deadlock                     *)
@@ -141,6 +146,120 @@ let same_spl_holder ~disciplined () =
   Engine.join device
 
 (* ------------------------------------------------------------------ *)
+(* The section 2 contended spin lock                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Every cpu runs [iters] rounds of take the lock, update four shared
+   cells (so spin bus traffic delays useful work), hold 20 cycles,
+   release.  E1 sweeps it over the spin protocols, E15 runs it at 64
+   cpus over the queue locks, E18 traces it, perf.ml times the engine on
+   it and the golden determinism test pins its schedule. *)
+let contention ?protocol ?proto ~name ~iters () =
+  let lock = K.Slock.make ~name ?protocol ?proto () in
+  let data = Array.init 4 (fun _ -> Engine.Cell.make 0) in
+  let worker () =
+    for _ = 1 to iters do
+      K.Slock.lock lock;
+      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
+      Engine.cycles 20;
+      K.Slock.unlock lock
+    done
+  in
+  spawn_join (Engine.cpu_count ()) (fun _ -> worker)
+
+let queue_locks () =
+  let module Lp = Mach_core.Lock_proto in
+  let cpus = Engine.cpu_count () in
+  List.iter
+    (fun proto ->
+      let l = K.Slock.make ~name:("ql." ^ Lp.name proto) ~proto () in
+      let c = Engine.Cell.make ~name:"ql.count" 0 in
+      spawn_join cpus (fun _ () ->
+          for _ = 1 to 5 do
+            K.Slock.lock l;
+            ignore (Engine.Cell.fetch_and_add c 1);
+            Engine.cycles 20;
+            K.Slock.unlock l
+          done))
+    K.Locks.all;
+  let br = K.Locks.Brlock.make ~name:"ql.br" in
+  spawn_join cpus (fun _ () ->
+      for _ = 1 to 5 do
+        K.Locks.Brlock.with_read br (fun () -> Engine.cycles 10)
+      done)
+
+(* ------------------------------------------------------------------ *)
+(* The section 7 TLB shootdown barrier                                  *)
+(* ------------------------------------------------------------------ *)
+
+let shootdown ?(removals = 8) () =
+  let pm = Vm.Pmap.create () in
+  (* On a uniprocessor there is nobody to shoot down: the removals still
+     run (local invalidates only) rather than waiting forever for a victim
+     that can never be dispatched. *)
+  let participants = max 0 (Engine.cpu_count () - 1) in
+  let stop = Engine.Cell.make ~name:"stop" 0 in
+  (* victims: threads on other cpus spinning at spl0, pmap active *)
+  let victims =
+    List.init participants (fun k ->
+        let cpu = k + 1 in
+        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
+          (fun () ->
+            Vm.Pmap.activate pm ~cpu;
+            Engine.spin_hint "stop";
+            while Engine.Cell.get stop = 0 do
+              Engine.pause ()
+            done))
+  in
+  (* the initiator is pinned to cpu0 so it cannot occupy (and starve) a
+     victim's cpu while busy-waiting *)
+  let initiator =
+    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
+        for j = 0 to removals - 1 do
+          Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Vm.Tlb.Read_write
+        done;
+        Engine.spin_hint "activation";
+        while List.length (Vm.Pmap.active_cpus pm) < participants do
+          Engine.pause ()
+        done;
+        for j = 0 to removals - 1 do
+          ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
+        done;
+        Engine.Cell.set stop 1)
+  in
+  Engine.join initiator;
+  List.iter Engine.join victims
+
+(* ------------------------------------------------------------------ *)
+(* The section 7.1 vm_map_pageable deadlock against pageout             *)
+(* ------------------------------------------------------------------ *)
+
+(* A map with an entry of already-resident unwired pages (reclaimable)
+   and a second entry to be wired; the pool is too small to wire without
+   reclaiming. *)
+let pageout ~recursive () =
+  let ctx = Vm.Vm_map.make_context ~pages:4 () in
+  let map = Vm.Vm_map.create ctx in
+  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
+  for i = 0 to 2 do
+    match Vm.Vm_fault.fault map ~va:(reclaimable + i) with
+    | Ok _ -> ()
+    | Error _ -> Engine.fatal "populate failed"
+  done;
+  (* one page left free; wiring needs three *)
+  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
+  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
+  let wire =
+    if recursive then Vm.Vm_pageable.wire_recursive
+    else Vm.Vm_pageable.wire_rewritten
+  in
+  (match wire map ~va:wired_va ~pages:3 with
+  | Ok () -> ()
+  | Error _ -> Engine.fatal "wire failed");
+  Vm.Vm_pageout.stop_daemon daemon;
+  Vm.Vm_map.release map
+
+(* ------------------------------------------------------------------ *)
 (* Locking granularity                                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -182,8 +301,7 @@ let object_ops_workload granularity ~objects ~workers ~ops_per_worker =
           K.Slock.unlock big_lock
         done
       in
-      let ts = List.init workers (fun w -> Engine.spawn (worker w)) in
-      List.iter Engine.join ts
+      spawn_join workers worker
   | Fine ->
       (* Locks are associated with data structures: code runs in parallel
          with itself when different objects are involved (section 2). *)
@@ -195,8 +313,7 @@ let object_ops_workload granularity ~objects ~workers ~ops_per_worker =
           K.Slock.unlock obj.olock
         done
       in
-      let ts = List.init workers (fun w -> Engine.spawn (worker w)) in
-      List.iter Engine.join ts
+      spawn_join workers worker
   | Master_funnel ->
       (* A master processor executes every operation; other processors
          hand their work over, sleep, and are awakened with the result
@@ -251,18 +368,18 @@ let object_ops_workload granularity ~objects ~workers ~ops_per_worker =
           K.Slock.unlock guard
         done
       in
-      let ts = List.init workers (fun w -> Engine.spawn (worker w)) in
-      List.iter Engine.join ts;
+      spawn_join workers worker;
       (* All work submitted and acknowledged; let the master observe
          remaining = 0. *)
       ignore (K.Ev.thread_wakeup req_ev);
       Engine.join master
 
 (* ------------------------------------------------------------------ *)
-(* RPC null round-trip                                                  *)
+(* The kernel operation path: null RPCs and the task life cycle         *)
 (* ------------------------------------------------------------------ *)
 
-let null_rpc_workload kernel ~clients ~calls_each =
+let null_rpc ~pages ~clients ~calls_each () =
+  let kernel = Kernel.start ~pages () in
   let client i () =
     for _ = 1 to calls_each do
       match Kernel.rpc_null kernel with
@@ -275,7 +392,31 @@ let null_rpc_workload kernel ~clients ~calls_each =
     List.init clients (fun i ->
         Engine.spawn ~name:(Printf.sprintf "client%d" i) (client i))
   in
-  List.iter Engine.join ts
+  List.iter Engine.join ts;
+  Kernel.shutdown kernel
+
+let task_lifecycle () =
+  let kernel = Kernel.start ~pages:128 () in
+  let ports =
+    List.init 4 (fun _ ->
+        match Kernel.rpc_task_create kernel with
+        | Ok p -> p
+        | Error e -> Engine.fatal e)
+  in
+  List.iter
+    (fun p ->
+      (match Kernel.rpc_vm_allocate p ~size:8 with
+      | Ok va -> (
+          match Kernel.rpc_vm_wire p ~va ~pages:4 with
+          | Ok () -> ()
+          | Error e -> Engine.fatal e)
+      | Error e -> Engine.fatal e);
+      (match Kernel.rpc_task_terminate p with
+      | Ok () -> ()
+      | Error e -> Engine.fatal e);
+      Port.release p)
+    ports;
+  Kernel.shutdown kernel
 
 (* ------------------------------------------------------------------ *)
 (* Range locks over the VM map (experiment E16)                         *)

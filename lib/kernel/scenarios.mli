@@ -1,6 +1,10 @@
 (** Canonical multiprocessor scenarios from the paper, shared by the
     tests, the examples and the benchmark harness. *)
 
+val spawn_join : int -> (int -> unit -> unit) -> unit
+(** [spawn_join n worker] spawns [worker k] for k = 0..n-1, in order, then
+    joins every one. *)
+
 (** {1 The section 7 three-processor interrupt deadlock (experiment E11)}
 
     Processor 1 holds a lock; processor 2 spins for it with interrupts
@@ -28,6 +32,44 @@ val same_spl_holder : disciplined:bool -> unit -> unit
     spl0 (checking disabled): the handler preempts its own lock holder
     and spins forever. *)
 
+(** {1 The contended spin lock (experiments E1, E15, E18)} *)
+
+val contention :
+  ?protocol:Mach_core.Spin.protocol ->
+  ?proto:Mach_core.Lock_proto.factory ->
+  name:string ->
+  iters:int ->
+  unit ->
+  unit
+(** Every cpu runs [iters] rounds of: take the simple lock [name], update
+    four shared cells (so spin bus traffic delays useful work), hold 20
+    cycles, release.  [protocol] / [proto] pick the spin protocol or the
+    queue lock, as in [Slock.make]. *)
+
+val queue_locks : unit -> unit
+(** Every cpu takes each queue-lock protocol's lock (ticket, MCS,
+    Anderson) five times in turn, then reads a big-reader lock five
+    times. *)
+
+(** {1 The TLB shootdown barrier (experiment E10)} *)
+
+val shootdown : ?removals:int -> unit -> unit
+(** A victim bound to every cpu but 0 activates one pmap and spins at
+    spl0; an initiator bound to cpu 0 enters [removals] (default 8)
+    mappings, waits for every victim, then removes them, each removal
+    rendezvousing with all victims at interrupt level (section 7).  With
+    one cpu there are no victims and the removals invalidate locally. *)
+
+(** {1 The vm_map_pageable deadlock (experiment E6)} *)
+
+val pageout : recursive:bool -> unit -> unit
+(** vm_map_pageable wires three pages of a map whose four-page pool has
+    one page free, racing the pageout daemon, which must reclaim the
+    map's other three resident pages.  [recursive:true] is the original
+    implementation, holding a recursive read lock across the faults: on
+    some schedules it deadlocks against pageout (section 7.1).
+    [recursive:false] is the Mach 3.0 rewrite, which never does. *)
+
 (** {1 Locking granularity (experiments E3)} *)
 
 type granularity =
@@ -44,11 +86,16 @@ val object_ops_workload :
     updating the object (some local work plus shared-data updates).
     Run inside a simulation; makespan is read from the run stats. *)
 
-(** {1 RPC null round-trip (experiment E9)} *)
+(** {1 The kernel operation path (experiment E9)} *)
 
-val null_rpc_workload : Kernel.t -> clients:int -> calls_each:int -> unit
-(** Spawn [clients] threads each performing [calls_each] null RPCs to the
-    kernel host port; joins them all. *)
+val null_rpc : pages:int -> clients:int -> calls_each:int -> unit -> unit
+(** Boot a kernel with [pages] physical pages, spawn [clients] threads
+    each performing [calls_each] null RPCs to its host port, join them
+    and shut the kernel down. *)
+
+val task_lifecycle : unit -> unit
+(** Boot a kernel; over RPC create four tasks, allocate eight pages in
+    each and wire four of them, terminate each task; shut down. *)
 
 (** {1 Range locks over the VM map (experiment E16)} *)
 

@@ -28,9 +28,16 @@ let rec write buf = function
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f ->
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      (* %.6g, except that an integer below 1e15 is never rounded and
+         never loses its point.  So whatever is read back is written as
+         the same bytes: 1030890.33 is written 1.03089e+06, which reads
+         back as 1030890.0 and is again written 1.03089e+06. *)
+      let s = Printf.sprintf "%.6g" f in
+      Buffer.add_string buf
+        (if not (Float.is_integer f && Float.abs f < 1e15) then s
+         else if float_of_string s <> f then Printf.sprintf "%.1f" f
+         else if String.contains s 'e' then s
+         else s ^ ".0")
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);

@@ -5,6 +5,16 @@ let policy_name = function
   | Round_robin -> "round-robin"
   | Timed -> "timed"
 
+(* The cost table, in cycles. *)
+let read_hit_cost = 1
+let read_miss_cost = 40
+let write_cost = 20
+let atomic_cost = 50
+let bus_occupancy = 20
+let pause_cost = 4
+let context_switch_cost = 300
+let interrupt_cost = 150
+
 (* Fault-injection odds: each field is a 1-in-N chance per opportunity
    (0 = never).  Draws come from a dedicated chaos RNG seeded by
    [fault_seed] (or the schedule seed when 0), so enabling a fault class
@@ -87,16 +97,6 @@ type t = {
   cpus : int;
   seed : int;
   policy : policy;
-  read_hit_cost : int;
-  read_miss_cost : int;
-  write_cost : int;
-  atomic_cost : int;
-  bus_occupancy : int;
-  pause_cost : int;
-  local_cost : int;
-  context_switch_cost : int;
-  interrupt_cost : int;
-  preempt_on_cell_ops : bool;
   spin_max_backoff : int;
   watchdog_steps : int;
   max_steps : int option;
@@ -114,16 +114,6 @@ let default =
     cpus = 4;
     seed = 1;
     policy = Timed;
-    read_hit_cost = 1;
-    read_miss_cost = 40;
-    write_cost = 20;
-    atomic_cost = 50;
-    bus_occupancy = 20;
-    pause_cost = 4;
-    local_cost = 1;
-    context_switch_cost = 300;
-    interrupt_cost = 150;
-    preempt_on_cell_ops = true;
     spin_max_backoff = 1024;
     watchdog_steps = 1_000_000;
     max_steps = None;
@@ -141,9 +131,7 @@ let exploration ?(cpus = 4) ~seed () =
     cpus;
     seed;
     policy = Random_policy;
-    preempt_on_cell_ops = true;
     watchdog_steps = 200_000;
   }
 
-let bench ?(cpus = 8) () =
-  { default with cpus; policy = Timed; preempt_on_cell_ops = true }
+let bench ?(cpus = 8) () = { default with cpus }

@@ -15,6 +15,21 @@ type policy =
 
 val policy_name : policy -> string
 
+(** The cost table, in cycles: a cached read; a read that misses and
+    crosses the bus; a write (it invalidates other caches); an
+    interlocked operation (test-and-set etc.); the bus cycles a miss or
+    atomic keeps the bus busy; one spin-loop iteration's local work; a
+    context switch; the dispatch overhead of taking an interrupt. *)
+
+val read_hit_cost : int
+val read_miss_cost : int
+val write_cost : int
+val atomic_cost : int
+val bus_occupancy : int
+val pause_cost : int
+val context_switch_cost : int
+val interrupt_cost : int
+
 type faults = {
   fault_seed : int;
       (** seed of the dedicated chaos RNG; 0 = derive from the schedule
@@ -97,18 +112,6 @@ type t = {
   cpus : int;               (** number of virtual processors *)
   seed : int;               (** scheduling seed *)
   policy : policy;
-  read_hit_cost : int;      (** cached read *)
-  read_miss_cost : int;     (** read that misses and crosses the bus *)
-  write_cost : int;         (** write (invalidates other caches) *)
-  atomic_cost : int;        (** interlocked operation (test-and-set etc.) *)
-  bus_occupancy : int;      (** bus cycles a miss/atomic keeps the bus busy *)
-  pause_cost : int;         (** one spin-loop iteration's local work *)
-  local_cost : int;         (** generic local work unit *)
-  context_switch_cost : int;
-  interrupt_cost : int;     (** dispatch overhead of taking an interrupt *)
-  preempt_on_cell_ops : bool;
-      (** make every shared-cell operation a preemption point (finest
-          interleaving granularity; on for exploration) *)
   spin_max_backoff : int;
       (** cap (in cycles) on the exponential-backoff delay of the
           [Ttas_backoff] spin protocol *)
@@ -136,13 +139,12 @@ type t = {
 }
 
 val default : t
-(** 4 cpus, seed 1, [Timed], the calibrated cost table, checking-friendly
-    watchdog. *)
+(** 4 cpus, seed 1, [Timed], checking-friendly watchdog. *)
 
 val exploration : ?cpus:int -> seed:int -> unit -> t
-(** Random policy with per-cell preemption: the configuration used by the
+(** Random policy and a shorter watchdog: the configuration used by the
     schedule-exploration tests. *)
 
 val bench : ?cpus:int -> unit -> t
-(** Timed policy without per-cell preemption pauses beyond spin loops:
-    the configuration used by the cycle-model benchmarks. *)
+(** [default] with 8 cpus unless [cpus] says otherwise: the
+    configuration used by the cycle-model benchmarks. *)

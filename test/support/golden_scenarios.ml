@@ -10,98 +10,20 @@
 module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module K = Mach_ksync.Ksync
-module Vm = Mach_vm
+module Scenarios = Mach_kernel.Scenarios
 
 (* E1-style contention: every cpu hammers one simple lock whose critical
    section updates shared cells (bus traffic delays useful work). *)
 let contention () =
-  let lock =
-    K.Slock.make ~name:"golden" ~protocol:Mach_core.Spin.Tas_then_ttas ()
-  in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-  let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to 20 do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-  List.iter Engine.join ts
-
-(* TLB shootdown: victims on every other cpu activate the pmap and spin;
-   the initiator's removals rendezvous with all of them at splvm. *)
-let shootdown () =
-  let pm = Vm.Pmap.create () in
-  let participants = max 0 (Engine.cpu_count () - 1) in
-  let removals = 8 in
-  let stop = Engine.Cell.make ~name:"stop" 0 in
-  let victims =
-    List.init participants (fun k ->
-        let cpu = k + 1 in
-        Engine.spawn ~name:(Printf.sprintf "victim%d" cpu) ~bound:cpu
-          (fun () ->
-            Vm.Pmap.activate pm ~cpu;
-            Engine.spin_hint "stop";
-            while Engine.Cell.get stop = 0 do
-              Engine.pause ()
-            done))
-  in
-  let initiator =
-    Engine.spawn ~name:"initiator" ~bound:0 (fun () ->
-        for j = 0 to removals - 1 do
-          Vm.Pmap.enter pm ~va:(0x1000 + j) ~ppn:j ~prot:Vm.Tlb.Read_write
-        done;
-        Engine.spin_hint "activation";
-        while List.length (Vm.Pmap.active_cpus pm) < participants do
-          Engine.pause ()
-        done;
-        for j = 0 to removals - 1 do
-          ignore (Vm.Pmap.remove pm ~va:(0x1000 + j))
-        done;
-        Engine.Cell.set stop 1)
-  in
-  Engine.join initiator;
-  List.iter Engine.join victims
-
-(* vm_map_pageable (Mach 3.0 rewrite) racing the pageout daemon. *)
-let pageout () =
-  let ctx = Vm.Vm_map.make_context ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for idx = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + idx) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  (match Vm.Vm_pageable.wire_rewritten map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
+  Scenarios.contention ~name:"golden" ~protocol:Mach_core.Spin.Tas_then_ttas
+    ~iters:20 ()
 
 (* The same contention workload over each lib/locks queue-lock protocol,
    plus a read-mostly workload over the big-reader lock: pins the exact
    cell-op sequence (and hence schedule and cost model) of every new
    protocol. *)
 let queue_contention proto () =
-  let lock = K.Slock.make ~name:"golden" ~proto () in
-  let data = Array.init 4 (fun _ -> Engine.Cell.make ~name:"d" 0) in
-  let cpus = Engine.cpu_count () in
-  let worker () =
-    for _ = 1 to 20 do
-      K.Slock.lock lock;
-      Array.iter (fun d -> ignore (Engine.Cell.fetch_and_add d 1)) data;
-      Engine.cycles 20;
-      K.Slock.unlock lock
-    done
-  in
-  let ts = List.init cpus (fun _ -> Engine.spawn worker) in
-  List.iter Engine.join ts
+  Scenarios.contention ~name:"golden" ~proto ~iters:20 ()
 
 let brlock_readers () =
   let module B = K.Locks.Brlock in
@@ -119,8 +41,7 @@ let brlock_readers () =
             Engine.cycles 10)
     done
   in
-  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
-  List.iter Engine.join ts
+  Scenarios.spawn_join cpus worker
 
 (* The brlock read-mostly workload over the scache RW lock: pins the
    explicit ReadPending/ReadCounted acquisition loop and the FIFO
@@ -140,8 +61,7 @@ let scache_readers () =
             Engine.cycles 10)
     done
   in
-  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
-  List.iter Engine.join ts
+  Scenarios.spawn_join cpus worker
 
 (* scache under the Complex_lock: the RW state machine rides the scache
    writer as its interlock protocol. *)
@@ -167,8 +87,7 @@ let cx_scache () =
       end
     done
   in
-  let ts = List.init cpus (fun i -> Engine.spawn (worker i)) in
-  List.iter Engine.join ts
+  Scenarios.spawn_join cpus worker
 
 (* The section 10 RPC path end to end: clients spin on their reply
    ports and servers on their request ports through [Port.spin_for_message].
@@ -176,26 +95,27 @@ let cx_scache () =
    halves of spin-then-block are pinned. *)
 let rpc_serve () =
   ignore
-    (Mach_kernel.Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:48
+    (Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:48
        ())
 
 (* The same path with no spin budget: every receive and reply wait
    parks, so the run queue changes on every RPC. *)
 let rpc_park () =
   ignore
-    (Mach_kernel.Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:0
+    (Scenarios.rpc_serve ~shards:4 ~batch:4 ~calls_each:2 ~spin:0
        ())
 
 (* Bound threads on three cpus and a cross-cpu interrupt barrier: the
    section 7 three-processor pattern under the disciplined spl rule. *)
 let barrier_disciplined () =
-  Mach_kernel.Scenarios.interrupt_barrier_scenario ~disciplined:true ()
+  Scenarios.interrupt_barrier_scenario ~disciplined:true ()
 
 let scenarios : (string * (unit -> unit)) list =
   [
     ("contention", contention);
-    ("shootdown", shootdown);
-    ("pageout", pageout);
+    ("shootdown", fun () -> Scenarios.shootdown ());
+    (* vm_map_pageable (Mach 3.0 rewrite) racing the pageout daemon. *)
+    ("pageout", Scenarios.pageout ~recursive:false);
     ("contention-ticket", queue_contention K.Locks.ticket);
     ("contention-mcs", queue_contention K.Locks.mcs);
     ("contention-anderson", queue_contention K.Locks.anderson);

@@ -9,14 +9,7 @@ module Chaos = Mach_chaos.Chaos
 module Fault = Mach_chaos.Chaos_fault
 module Cs = Mach_chaos.Chaos_scenarios
 module Scenarios = Mach_kernel.Scenarios
-
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
+open Test_support
 
 (* With every fault's odds at zero the chaos RNG is never drawn and the
    stats must be byte-identical to a run without the faults record (the

@@ -6,6 +6,7 @@ module Explore = Mach_sim.Sim_explore
 module K = Mach_ksync.Ksync
 module Kobj = Mach_ksync.Kobj
 module Port = Mach_ipc.Port
+module Port_space = Mach_ipc.Port_space
 module Task = Mach_kern.Task
 module Zalloc = Mach_kern.Zalloc
 module Kernel = Mach_kernel.Kernel
@@ -73,11 +74,13 @@ let test_task_two_locks_in_parallel () =
   in_sim (fun () ->
       let ctx = mk_ctx () in
       let task = Task.create ~name:"t2" ctx in
+      let names = Task.port_names task in
       let extra = Port.create ~name:"extra" () in
-      Task.register_port_name task "extra" extra;
+      check_bool "registered" true
+        (Port_space.insert names ~pname:1 extra = Ok ());
       Kobj.lock (Task.kobj task);
       (* task lock held: the ipc path still works *)
-      (match Task.lookup_port_name task "extra" with
+      (match Port_space.lookup names ~pname:1 with
       | Some p ->
           check_int "same port" (Port.uid extra) (Port.uid p);
           Kobj.unlock (Task.kobj task);
@@ -206,11 +209,7 @@ let test_kernel_task_lifecycle_via_rpc () =
          Kernel.shutdown kernel))
 
 let test_null_rpc_workload () =
-  ignore
-    (Engine.run (fun () ->
-         let kernel = Kernel.start ~pages:32 () in
-         Scenarios.null_rpc_workload kernel ~clients:3 ~calls_each:5;
-         Kernel.shutdown kernel))
+  ignore (Engine.run (Scenarios.null_rpc ~pages:32 ~clients:3 ~calls_each:5))
 
 (* ------------------------------------------------------------------ *)
 (* Locking granularity scenarios (E3 building block)                    *)

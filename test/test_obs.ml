@@ -269,6 +269,21 @@ let test_json_parser () =
   | Ok d -> check_bool "round-trip equal" true (d = doc)
   | Error m -> Alcotest.fail ("round-trip: " ^ m)
 
+(* A float written, read back and written again gives the bytes of the
+   first write: a bench subset run re-writes the sections it keeps. *)
+let test_json_float_rewrite () =
+  let write f = Json.to_string (Json.Float f) in
+  List.iter
+    (fun f ->
+      let once = write f in
+      match Json.of_string once with
+      | Ok v -> Alcotest.(check string) once once (Json.to_string v)
+      | Error m -> Alcotest.fail (once ^ ": " ^ m))
+    [ 1030890.33; 1457560.0; 123456.7; 0.5; 1e20; 1975301.0; 999999.97; -0.25 ];
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (write f))
+    [ (1030890.33, "1.03089e+06"); (1975301.0, "1975301.0"); (42.0, "42.0") ]
+
 (* ------------------------------------------------------------------ *)
 (* Metrics registry + profiler                                          *)
 (* ------------------------------------------------------------------ *)
@@ -811,7 +826,10 @@ let () =
             test_traced_run_has_typed_lock_events;
         ] );
       ( "json",
-        [ test_case "parser accepts/rejects" `Quick test_json_parser ] );
+        [
+          test_case "parser accepts/rejects" `Quick test_json_parser;
+          test_case "float write, read, write" `Quick test_json_float_rewrite;
+        ] );
       ( "metrics + profile",
         [
           test_case "registry counters and shards" `Quick test_metrics_registry;

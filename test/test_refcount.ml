@@ -6,19 +6,7 @@ module Explore = Mach_sim.Sim_explore
 module K = Mach_ksync.Ksync
 module Kobj = Mach_ksync.Kobj
 module Deact = Mach_core.Deactivate
-
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
-
-let in_sim f =
-  let result = ref None in
-  ignore (Engine.run (fun () -> result := Some (f ())));
-  Option.get !result
+open Test_support
 
 (* ------------------------------------------------------------------ *)
 

@@ -5,20 +5,13 @@ module Engine = Mach_sim.Sim_engine
 module Config = Mach_sim.Sim_config
 module Explore = Mach_sim.Sim_explore
 module Spl = Mach_core.Spl
+open Test_support
 
 let cfg ?(cpus = 4) ?(seed = 7) ?(policy = Config.Random_policy) () =
   { Config.default with Config.cpus; seed; policy }
 
 let run ?cpus ?seed ?policy main =
   Engine.run ~cfg:(cfg ?cpus ?seed ?policy ()) main
-
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
-  m = 0 || at 0
 
 (* ------------------------------------------------------------------ *)
 

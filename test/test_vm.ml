@@ -7,6 +7,7 @@ module Explore = Mach_sim.Sim_explore
 module K = Mach_ksync.Ksync
 module Spl = Mach_core.Spl
 module Vm = Mach_vm
+module Scenarios = Mach_kernel.Scenarios
 open Test_support
 
 let mk_ctx ?(pages = 64) () = Vm.Vm_map.make_context ~pages ()
@@ -374,37 +375,12 @@ let test_fault_waits_for_memory_then_completes () =
 (* vm_map_pageable: the section 7.1 deadlock and its rewrite (E6)       *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared setup: a map with an entry of already-resident unwired pages
-   (reclaimable) and a second entry to be wired; the pool is too small to
-   wire without reclaiming. *)
-let pageable_scenario ~use_recursive () =
-  let ctx = mk_ctx ~pages:4 () in
-  let map = Vm.Vm_map.create ctx in
-  let reclaimable = Vm.Vm_map.vm_allocate map ~size:3 in
-  for i = 0 to 2 do
-    match Vm.Vm_fault.fault map ~va:(reclaimable + i) with
-    | Ok _ -> ()
-    | Error _ -> Engine.fatal "populate failed"
-  done;
-  (* one page left free; wiring needs three *)
-  let wired_va = Vm.Vm_map.vm_allocate map ~size:3 in
-  let daemon = Vm.Vm_pageout.start_daemon ~victims:[ map ] in
-  let wire =
-    if use_recursive then Vm.Vm_pageable.wire_recursive
-    else Vm.Vm_pageable.wire_rewritten
-  in
-  (match wire map ~va:wired_va ~pages:3 with
-  | Ok () -> ()
-  | Error _ -> Engine.fatal "wire failed");
-  Vm.Vm_pageout.stop_daemon daemon;
-  Vm.Vm_map.release map
-
 let test_recursive_wire_deadlocks () =
   (* The paper: "While these deadlocks are difficult to cause, they have
      been observed in practice."  Exploration finds a schedule. *)
   match
     Explore.find_first_deadlock ~cpus:3 ~max_seeds:60
-      (pageable_scenario ~use_recursive:true)
+      (Scenarios.pageout ~recursive:true)
   with
   | Some (_seed, report) ->
       check_bool "pageout is part of the deadlock" true
@@ -417,7 +393,7 @@ let test_rewritten_wire_never_deadlocks () =
   let v =
     Explore.run ~cpus:3
       ~seeds:(List.init 60 (fun i -> i + 1))
-      (pageable_scenario ~use_recursive:false)
+      (Scenarios.pageout ~recursive:false)
   in
   check_bool "the section 7.1 rewrite never deadlocks" true
     (Explore.all_completed v)
@@ -441,8 +417,6 @@ let test_wire_pins_pages () =
 (* ------------------------------------------------------------------ *)
 (* Range-locked maps (experiment E16)                                   *)
 (* ------------------------------------------------------------------ *)
-
-module Scenarios = Mach_kernel.Scenarios
 
 let test_range_allocate_fault_deallocate () =
   in_sim (fun () ->
